@@ -1,60 +1,17 @@
 """Streaming concept-drift detection with recurring-drift memory."""
 
-from .detector import (
-    DetectorConfig,
-    DriftDecision,
-    DriftEvent,
-    DriftGanDetector,
-    DistributionRegistry,
-    classify_batch,
-    historical_sample,
-    standardize,
-    train_gan,
-)
-from .evaluation import RunReport, compare_reports, prequential_run, score_detection
-from .nn import (
-    AdadeltaOptimizer,
-    AdadeltaState,
-    Network,
-    TrainingDivergedError,
-    adadelta_update,
-    extend_output_layer,
-    train_step,
-)
-from .strategies import STRATEGY_KINDS, Strategy, make_strategy
-from .streams import SyntheticSpec, default_concepts, load, synth_recurring
-from .tree import HoeffdingTreeClassifier, hoeffding_bound
+from .detector import DetectorConfig
+from .evaluation import prequential_run
+from .strategies import make_strategy
+from .streams import SyntheticSpec, default_concepts, synth_recurring
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdadeltaOptimizer",
-    "AdadeltaState",
     "DetectorConfig",
-    "DriftDecision",
-    "DriftEvent",
-    "DriftGanDetector",
-    "DistributionRegistry",
-    "HoeffdingTreeClassifier",
-    "Network",
-    "RunReport",
-    "STRATEGY_KINDS",
-    "Strategy",
     "SyntheticSpec",
-    "TrainingDivergedError",
-    "adadelta_update",
-    "classify_batch",
-    "compare_reports",
     "default_concepts",
-    "extend_output_layer",
-    "hoeffding_bound",
-    "historical_sample",
-    "load",
     "make_strategy",
     "prequential_run",
-    "score_detection",
-    "standardize",
     "synth_recurring",
-    "train_gan",
-    "train_step",
 ]

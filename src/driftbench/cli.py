@@ -157,36 +157,18 @@ def _load_ground_truth(args, meta):
     return meta
 
 
-def _run_one(args, kind, instances, meta):
-    config = _detector_config(args)
-    strategy = make_strategy(
-        kind, meta.n_features, len(meta.label_alphabet),
-        rho=args.rho, retrain_interval=args.retrain_interval, config=config,
-    )
-    report = evaluation.prequential_run(
-        instances, strategy, dataset=str(args.dataset), metadata=meta
-    )
-    args.out.mkdir(parents=True, exist_ok=True)
-    evaluation.write_report(report, args.out / f"report_{kind}.json")
-    evaluation.write_drift_log(report.drift_events,
-                               args.out / f"drifts_{kind}.csv")
-    log.info("%s: accuracy %.4f, %d drift events", kind, report.accuracy,
-             len(report.drift_events))
-    return report
-
-
-def cmd_run(args) -> int:
-    instances, meta = streams.load(args.dataset, args.format, args.max_instances)
-    meta = _load_ground_truth(args, meta)
-    report = _run_one(args, args.strategy, instances, meta)
-    print(f"{args.dataset} {args.strategy}: accuracy={report.accuracy:.4f} "
-          f"drifts={len(report.drift_events)}")
-    return EXIT_OK
-
-
 def cmd_compare(args) -> int:
-    kinds = (list(STRATEGY_KINDS) if args.strategies == "all"
-             else [k.strip() for k in args.strategies.split(",") if k.strip()])
+    """Evaluate each requested strategy on the dataset, loaded once.
+
+    ``run`` is the one-strategy case: it prints a one-line summary where
+    ``compare`` writes and prints the comparison table.
+    """
+    if args.command == "run":
+        kinds = [args.strategy]
+    elif args.strategies == "all":
+        kinds = list(STRATEGY_KINDS)
+    else:
+        kinds = [k.strip() for k in args.strategies.split(",") if k.strip()]
     for kind in kinds:
         if kind not in STRATEGY_KINDS:
             raise UsageError(
@@ -194,9 +176,29 @@ def cmd_compare(args) -> int:
             )
     instances, meta = streams.load(args.dataset, args.format, args.max_instances)
     meta = _load_ground_truth(args, meta)
-    reports = [_run_one(args, kind, instances, meta) for kind in kinds]
-    table = evaluation.compare_reports(reports)
+    config = _detector_config(args)
     args.out.mkdir(parents=True, exist_ok=True)
+    reports = []
+    for kind in kinds:
+        strategy = make_strategy(
+            kind, meta.n_features, len(meta.label_alphabet), rho=args.rho,
+            retrain_interval=args.retrain_interval, config=config,
+        )
+        report = evaluation.prequential_run(
+            instances, strategy, dataset=str(args.dataset), metadata=meta
+        )
+        evaluation.write_report(report, args.out / f"report_{kind}.json")
+        evaluation.write_drift_log(report.drift_events,
+                                   args.out / f"drifts_{kind}.csv")
+        log.info("%s: accuracy %.4f, %d drift events", kind, report.accuracy,
+                 len(report.drift_events))
+        reports.append(report)
+    if args.command == "run":
+        report = reports[0]
+        print(f"{args.dataset} {args.strategy}: accuracy={report.accuracy:.4f} "
+              f"drifts={len(report.drift_events)}")
+        return EXIT_OK
+    table = evaluation.compare_reports(reports)
     (args.out / "comparison.csv").write_text(table)
     print(table, end="")
     return EXIT_OK
@@ -240,11 +242,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args._argv = argv
         args = _apply_config_file(args, parser)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        return cmd_synth(args)
+        if args.command == "synth":
+            return cmd_synth(args)
+        return cmd_compare(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,23 +74,12 @@ class DriftEvent:
     dist_id: int
 
 
-@dataclass
-class DriftDecision:
-    kind: str  # "none" | "new" | "recurring"
-    dist_id: int | None
-    instance_index: int
-
-    @property
-    def is_drift(self) -> bool:
-        return self.kind != "none"
-
-
 class DistributionRecord:
     """One seen distribution: its GAN training window and labeled exemplars."""
 
     def __init__(self, dist_id: int, raw_window, cap: int):
         self.dist_id = dist_id
-        self.raw_window = [np.asarray(v, dtype=float) for v in raw_window]
+        self.raw_window = np.asarray(raw_window, dtype=float)  # (n, d)
         self.exemplars: deque = deque(maxlen=cap)
 
     def add_exemplar(self, features, label) -> None:
@@ -120,24 +109,18 @@ class DistributionRegistry:
 
 
 def standardize(x) -> np.ndarray:
-    """Per-vector standardization (population sigma); constant vectors map to 0."""
+    """Standardize a vector, or each row of a block, over the last axis.
+
+    Uses the population sigma. A row whose sigma is within rounding error
+    of its mean (below 1e-11 of it) is constant up to rounding and maps
+    to zeros.
+    """
     arr = np.asarray(x, dtype=float)
-    sigma = arr.std()
-    if sigma == 0.0:
-        return np.zeros_like(arr)
-    return (arr - arr.mean()) / sigma
-
-
-def historical_sample(registry: DistributionRegistry, dist_id: int,
-                      fraction: float, rng) -> list:
-    """Uniform sample without replacement of ceil(fraction * stored) exemplars."""
-    record = registry.get(dist_id)
-    exemplars = list(record.exemplars)
-    k = int(np.ceil(fraction * len(exemplars)))
-    if k <= 0:
-        return []
-    idx = rng.choice(len(exemplars), size=k, replace=False)
-    return [exemplars[i] for i in idx]
+    mean = arr.mean(axis=-1, keepdims=True)
+    centered = arr - mean
+    sigma = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))
+    flat = sigma <= 1e-11 * np.abs(mean)
+    return np.where(flat, 0.0, centered / np.where(flat, 1.0, sigma))
 
 
 def classify_batch(discriminator: Network, batch) -> list[int]:
@@ -210,8 +193,7 @@ def _sample_probes(rng, n, real_vecs, radius):
     d = real_vecs.shape[1]
     kept = []
     for _ in range(8):  # oversample a few rounds; leftovers are fine
-        cand = rng.normal(0.0, 1.0, (3 * n, d))
-        cand = np.array([standardize(v) for v in cand])
+        cand = standardize(rng.normal(0.0, 1.0, (3 * n, d)))
         dist = np.linalg.norm(
             cand[:, None, :] - real_vecs[None, :, :], axis=2
         ).min(axis=1)
@@ -255,6 +237,7 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
 
     n_seq = seqs.shape[0]
     mb = min(config.gan_minibatch, n_seq)
+    epoch_loss = float("inf")
     for epoch in range(config.gan_max_epochs):
         order = rng.permutation(n_seq)
         for start in range(0, n_seq, mb):
@@ -277,10 +260,8 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
                 )
                 reals = real_vecs[real_take]
                 if jitter > 0.0:
-                    reals = np.array([
-                        standardize(v)
-                        for v in reals + rng.normal(0.0, jitter, reals.shape)
-                    ])
+                    reals = standardize(
+                        reals + rng.normal(0.0, jitter, reals.shape))
                 probes = _sample_probes(rng, len(take), real_vecs, probe_radius)
                 disc_in = np.vstack([reals, fake, probes])
                 disc_labels = np.concatenate([
@@ -325,6 +306,11 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
             log.debug("GAN converged after %d epochs (loss %.4f)", epoch + 1,
                       epoch_loss)
             break
+    else:
+        log.warning("GAN training stopped at gan_max_epochs=%d with "
+                    "discriminator loss %.4f, above disc_loss_threshold=%g",
+                    config.gan_max_epochs, epoch_loss,
+                    config.disc_loss_threshold)
     return generator, discriminator
 
 
@@ -336,9 +322,9 @@ class DriftGanDetector:
     """Streaming drift detector around the GAN pair and the registry.
 
     Usage: ``initialize`` with the first ``rho`` feature vectors, then feed
-    every subsequent vector to ``observe``; a ``DriftDecision`` is returned
-    at each batch boundary (``none`` otherwise). Labeled exemplars are
-    recorded through ``add_exemplar`` once the true label is known.
+    every subsequent vector to ``observe``, which returns a ``DriftEvent``
+    when a batch signals a drift and ``None`` otherwise. Labeled exemplars
+    are recorded through ``add_exemplar`` once the true label is known.
     """
 
     def __init__(self, config: DetectorConfig | None = None):
@@ -348,9 +334,8 @@ class DriftGanDetector:
         self.registry = DistributionRegistry(self.config.per_dist_cap)
         self.generator: Network | None = None
         self.discriminator: Network | None = None
-        self._batch: list[np.ndarray] = []
-        self._pending_window: list[np.ndarray] | None = None
-        self._pending_id: int | None = None
+        self._batch: list = []  # raw vectors since the last batch boundary
+        self._pending_window = None  # standardized start of a new window
         self.instances_seen = 0
         self.events: list[DriftEvent] = []
 
@@ -363,9 +348,9 @@ class DriftGanDetector:
 
     def initialize(self, window_features) -> None:
         """Train the initial GAN on the first rho raw feature vectors."""
-        window = [standardize(x) for x in window_features]
-        if len(window) < self.config.rho:
+        if len(window_features) < self.config.rho:
             raise ValueError(f"need {self.config.rho} vectors to initialize")
+        window = standardize(window_features)
         dist_id = self.registry.add(window)
         self.registry.current = dist_id
         self.generator, self.discriminator = train_gan(
@@ -378,72 +363,71 @@ class DriftGanDetector:
         """Store a labeled instance under the current distribution."""
         self.registry.get(self.registry.current).add_exemplar(features, label)
 
-    def observe(self, features) -> DriftDecision:
-        """Consume one raw feature vector; decide at batch boundaries."""
+    def observe(self, features) -> DriftEvent | None:
+        """Consume one raw feature vector; decide at batch boundaries.
+
+        Vectors are buffered raw and standardized as one block when the
+        batch (or a pending registration window) is complete.
+        """
         if self.discriminator is None:
             raise RuntimeError("detector not initialized")
-        std = standardize(features)
         self.instances_seen += 1
-        index = self.instances_seen - 1
-
+        self._batch.append(features)
         if self._pending_window is not None:
-            self._pending_window.append(std)
-            if len(self._pending_window) >= self.config.rho:
+            if len(self._pending_window) + len(self._batch) >= self.config.rho:
                 self._finish_registration()
-            return DriftDecision("none", None, index)
-
-        self._batch.append(std)
+            return None
         if len(self._batch) < self.config.batch_size:
-            return DriftDecision("none", None, index)
-        batch, self._batch = self._batch, []
-        return self.detect(batch, index)
+            return None
+        batch, self._batch = standardize(self._batch), []
+        return self.detect(batch, self.instances_seen - 1)
 
-    def detect(self, batch_std, instance_index: int) -> DriftDecision:
+    def detect(self, batch_std, instance_index: int) -> DriftEvent | None:
         """Batch-consensus drift rule on standardized vectors."""
         ids = classify_batch(self.discriminator, batch_std)
         first = ids[0]
         if any(i != first for i in ids) or first == self.registry.current:
-            return DriftDecision("none", None, instance_index)
+            return None
         if first == 0:
-            dist_id = len(self.registry) + 1
+            event = DriftEvent(instance_index, "new", len(self.registry) + 1)
             self._begin_registration(batch_std)
-            decision = DriftDecision("new", dist_id, instance_index)
         else:
             self.registry.current = first
-            decision = DriftDecision("recurring", first, instance_index)
-        self.events.append(DriftEvent(instance_index, decision.kind,
-                                      decision.dist_id))
+            event = DriftEvent(instance_index, "recurring", first)
+        self.events.append(event)
         log.info("drift at instance %d: %s distribution %d",
-                 instance_index, decision.kind, decision.dist_id)
-        return decision
+                 instance_index, event.kind, event.dist_id)
+        return event
 
     def historical_sample(self, dist_id: int) -> list:
-        return historical_sample(self.registry, dist_id,
-                                 self.config.historical_fraction, self.rng)
+        """Uniform sample without replacement of ceil(historical_fraction
+        * stored) exemplars of one distribution."""
+        exemplars = list(self.registry.get(dist_id).exemplars)
+        k = int(np.ceil(self.config.historical_fraction * len(exemplars)))
+        if k <= 0:
+            return []
+        idx = self.rng.choice(len(exemplars), size=k, replace=False)
+        return [exemplars[i] for i in idx]
 
     # -- new-distribution registration ---------------------------------------
 
     def _begin_registration(self, batch_std) -> None:
-        window = list(batch_std)
-        if len(window) >= self.config.rho:
-            self._register(window[-self.config.rho:])
+        if len(batch_std) >= self.config.rho:
+            self.register_distribution(batch_std[-self.config.rho:])
         else:
             # buffer further instances until rho vectors are available
-            self._pending_window = window
+            self._pending_window = batch_std
 
     def _finish_registration(self) -> None:
-        window, self._pending_window = self._pending_window, None
-        self._register(window[: self.config.rho])
-
-    def _register(self, window_std) -> int:
-        dist_id = self.register_distribution(window_std)
-        return dist_id
+        window = np.vstack([self._pending_window, standardize(self._batch)])
+        self._pending_window, self._batch = None, []
+        self.register_distribution(window[: self.config.rho])
 
     def register_distribution(self, window_std) -> int:
         """Add a record, grow the discriminator, retrain the GAN."""
         if len(window_std) < self.config.rho:
             raise ValueError(f"need at least rho={self.config.rho} vectors")
-        dist_id = self.registry.add(list(window_std))
+        dist_id = self.registry.add(window_std)
         extend_output_layer(self.discriminator, self.rng)
         self.generator, self.discriminator = train_gan(
             self.registry, self.config, self.rng,
@@ -454,4 +438,8 @@ class DriftGanDetector:
         return dist_id
 
     def _check_consistency(self) -> None:
-        assert self.discriminator.output_size == 1 + len(self.registry)
+        if self.discriminator.output_size != 1 + len(self.registry):
+            raise RuntimeError(
+                f"discriminator has {self.discriminator.output_size} outputs "
+                f"for {len(self.registry)} distributions plus unseen"
+            )

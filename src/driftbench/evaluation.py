@@ -43,6 +43,9 @@ class RunReport:
     detection: DetectionScore | None = None
     wall_time: float = 0.0
     schema_version: int = REPORT_SCHEMA_VERSION
+    # per-instance hits, kept by prequential_run(keep_trace=True) for
+    # independent recounts; not serialized
+    trace: list[bool] | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -110,13 +113,12 @@ def prequential_run(instances, strategy, *, dataset: str = "stream",
         n_scored=n_scored,
         drift_events=list(strategy.drift_events),
         wall_time=time.perf_counter() - start,
+        trace=trace if keep_trace else None,
     )
     if metadata is not None and metadata.change_points:
         report.detection = score_detection(
             report.drift_events, metadata.change_points, metadata.segment_concepts
         )
-    if keep_trace:
-        report.trace = trace  # not serialized; for independent recounts
     return report
 
 

@@ -10,7 +10,6 @@ preserves the argmax).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,36 +130,6 @@ class Network:
         z = out @ last.weights.T + last.bias
         return z[0] if single else z
 
-    def to_json(self) -> str:
-        """Flat snapshot for debugging; not load-bearing."""
-        doc = {
-            "layers": [
-                {
-                    "in": int(l.weights.shape[1]),
-                    "out": int(l.weights.shape[0]),
-                    "activation": l.activation,
-                    "weights": l.weights.ravel().tolist(),
-                    "bias": l.bias.tolist(),
-                }
-                for l in self.layers
-            ]
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Network":
-        doc = json.loads(text)
-        net = cls.__new__(cls)
-        net.layers = [
-            Layer(
-                np.array(spec["weights"], dtype=float).reshape(spec["out"], spec["in"]),
-                np.array(spec["bias"], dtype=float),
-                spec["activation"],
-            )
-            for spec in doc["layers"]
-        ]
-        return net
-
 
 # ---------------------------------------------------------------------------
 # Losses and gradients
@@ -233,12 +202,6 @@ def _backward(net, pre, post, out_grad, skip_final_activation):
         else:
             delta = delta @ layer.weights
     return grads, delta
-
-
-def input_loss_gradient(net: Network, inputs, targets, loss: str) -> np.ndarray:
-    """Gradient of the loss with respect to the inputs (parameters untouched)."""
-    _, _, grad = loss_gradients(net, inputs, targets, loss)
-    return grad
 
 
 # ---------------------------------------------------------------------------

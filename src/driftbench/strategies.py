@@ -139,14 +139,14 @@ class DriftGanStrategy(Strategy):
         # the label is revealed, so the instance is attributed to the
         # current distribution before the batch decision can change it
         self.detector.add_exemplar(x, y)
-        decision = self.detector.observe(x)
-        if decision.is_drift:
-            self._retrain(decision)
+        event = self.detector.observe(x)
+        if event is not None:
+            self._retrain(event)
 
-    def _retrain(self, decision) -> None:
+    def _retrain(self, event) -> None:
         training = []
-        if decision.kind == "recurring":
-            training.extend(self.detector.historical_sample(decision.dist_id))
+        if event.kind == "recurring":
+            training.extend(self.detector.historical_sample(event.dist_id))
         training.extend(self._recent)
         self.classifier.reset()
         self.classifier.fit_many(training)

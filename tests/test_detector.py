@@ -1,5 +1,7 @@
 """Tests for standardization, the registry, and the drift state machine."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from driftbench.detector import (
     DistributionRegistry,
     DriftGanDetector,
     classify_batch,
-    historical_sample,
     standardize,
     train_gan,
 )
@@ -33,6 +34,22 @@ def test_standardize_zero_mean_unit_population_sigma():
 
 def test_standardize_constant_vector_maps_to_zeros():
     assert np.array_equal(standardize([4.0, 4.0, 4.0]), np.zeros(3))
+    # the mean of three copies of this value rounds away from it, which
+    # leaves a sigma of about 1e-10 instead of 0
+    x = [699051.291833258] * 3
+    assert np.array_equal(standardize(x), np.zeros(3))
+    block = standardize([x, [1.0, 2.0, 3.0]])
+    assert np.array_equal(block[0], np.zeros(3))
+    assert np.array_equal(block[1], standardize([1.0, 2.0, 3.0]))
+
+
+def test_standardize_block_equals_per_row():
+    rows = np.random.default_rng(3).normal(2.0, 5.0, size=(50, 6))
+    rows[7] = 4.0  # one constant row
+    block = standardize(rows)
+    assert block.shape == rows.shape
+    for row, out in zip(rows, block):
+        assert np.array_equal(out, standardize(row))
 
 
 def test_standardize_idempotent():
@@ -51,7 +68,7 @@ def test_standardize_kills_shift_and_scale():
 
 def window(seed=0, n=8, d=4):
     rng = np.random.default_rng(seed)
-    return [standardize(v) for v in rng.normal(size=(n, d))]
+    return standardize(rng.normal(size=(n, d)))
 
 
 def test_registry_assigns_dense_ids():
@@ -75,15 +92,22 @@ def test_exemplar_cap_evicts_oldest():
     assert stored == [2, 3, 4]
 
 
+def detector_with_exemplars(n, fraction):
+    det = DriftGanDetector(DetectorConfig(historical_fraction=fraction))
+    det.registry.add(window(0))
+    det.registry.current = 1
+    for i in range(n):
+        det.add_exemplar([float(i)], 0)
+    return det
+
+
 def test_historical_sample_fractions():
-    reg = DistributionRegistry(cap=100)
-    reg.add(window(0))
-    for i in range(10):
-        reg.get(1).add_exemplar([float(i)], 0)
-    rng = np.random.default_rng(0)
-    assert len(historical_sample(reg, 1, 1.0, rng)) == 10
-    assert historical_sample(reg, 1, 0.0, rng) == []
-    half = historical_sample(reg, 1, 0.5, rng)
+    det = detector_with_exemplars(10, 1.0)
+    assert len(det.historical_sample(1)) == 10
+    det.config.historical_fraction = 0.0
+    assert det.historical_sample(1) == []
+    det.config.historical_fraction = 0.5
+    half = det.historical_sample(1)
     assert len(half) == 5  # ceil(0.5 * 10)
     # sampled without replacement
     values = [x[0] for x, _ in half]
@@ -91,12 +115,8 @@ def test_historical_sample_fractions():
 
 
 def test_historical_sample_ceils_small_fractions():
-    reg = DistributionRegistry(cap=100)
-    reg.add(window(0))
-    for i in range(3):
-        reg.get(1).add_exemplar([float(i)], 0)
-    rng = np.random.default_rng(0)
-    assert len(historical_sample(reg, 1, 0.1, rng)) == 1
+    det = detector_with_exemplars(3, 0.1)
+    assert len(det.historical_sample(1)) == 1
 
 
 # -- batch classification and the consensus rule ------------------------------
@@ -140,16 +160,14 @@ def detector_with_stub(id_of_row, n_registered=2, current=1):
 
 def test_detect_unanimous_current_is_not_drift():
     det = detector_with_stub(lambda row: 1, current=1)
-    decision = det.detect([np.zeros(4)] * 100, 199)
-    assert decision.kind == "none" and not decision.is_drift
+    assert det.detect([np.zeros(4)] * 100, 199) is None
     assert det.events == []
 
 
 def test_detect_split_batch_is_not_drift():
     calls = iter(range(10**6))
     det = detector_with_stub(lambda row: next(calls) % 2, current=1)
-    decision = det.detect([np.zeros(4)] * 100, 199)
-    assert decision.kind == "none"
+    assert det.detect([np.zeros(4)] * 100, 199) is None
     assert det.registry.current == 1
 
 
@@ -183,12 +201,20 @@ def test_detect_small_batch_buffers_until_rho(monkeypatch):
     monkeypatch.setattr(det, "register_distribution",
                         lambda w: registered.append(list(w)) or 2)
     rng = np.random.default_rng(1)
-    decisions = [det.observe(rng.normal(size=4)) for _ in range(5)]
-    assert decisions[-1].kind == "new"
+    raw = rng.normal(size=(10, 4))
+    events = [det.observe(x) for x in raw[:5]]
+    assert events[:4] == [None] * 4 and events[-1].kind == "new"
     assert registered == []  # five vectors are not enough for a window yet
-    for _ in range(5):
-        det.observe(rng.normal(size=4))
-    assert len(registered) == 1 and len(registered[0]) == 10
+    assert [det.observe(x) for x in raw[5:]] == [None] * 5
+    assert len(registered) == 1
+    assert np.array_equal(np.array(registered[0]), standardize(raw))
+
+
+def test_inconsistent_discriminator_is_an_error():
+    det = detector_with_stub(lambda row: 1, n_registered=2)
+    det.discriminator = StubDiscriminator(lambda row: 1, 2)  # needs 3
+    with pytest.raises(RuntimeError, match="2 outputs for 2 distributions"):
+        det._check_consistency()
 
 
 def test_observe_requires_initialization():
@@ -217,7 +243,7 @@ def test_config_validation():
 def concept_window(name, seed, n=100):
     concept = default_concepts()[name]
     feats, _ = concept.sample(np.random.default_rng(seed), n)
-    return [standardize(v) for v in feats]
+    return standardize(feats)
 
 
 def test_train_gan_separates_real_from_generated():
@@ -242,6 +268,21 @@ def test_train_gan_separates_real_from_generated():
     unseen = np.array(concept_window("B", seed=50, n=200))
     unseen_rate = np.mean(np.array(classify_batch(discriminator, unseen)) == 0)
     assert unseen_rate >= 0.9
+
+
+def test_train_gan_warns_when_epochs_run_out(caplog):
+    config = DetectorConfig(gan_max_epochs=1, disc_loss_threshold=1e-9)
+    registry = DistributionRegistry(config.per_dist_cap)
+    registry.add(concept_window("A", seed=0, n=config.rho))
+    registry.current = 1
+    with caplog.at_level(logging.WARNING, logger="driftbench.detector"):
+        generator, discriminator = train_gan(registry, config,
+                                             np.random.default_rng(0))
+    assert discriminator.output_size == 2
+    assert generator.input_size == config.seq_len * 4
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "gan_max_epochs=1" in record.getMessage()
 
 
 def test_train_gan_rejects_empty_or_short_registry():

@@ -252,14 +252,3 @@ def test_extend_output_layer_grows_and_preserves_lower_layers():
     out = net.forward(np.ones(3))
     assert out.shape == (3,)
     assert np.all((out >= 0.0) & (out <= 1.0))  # still a sigmoid layer
-
-
-def test_json_round_trip():
-    net = small_net([3, 4, 2], ["relu", "sigmoid"], seed=12)
-    clone = Network.from_json(net.to_json())
-    x = np.random.default_rng(0).normal(size=(5, 3))
-    assert np.allclose(net.forward(x), clone.forward(x))
-    for a, b in zip(net.layers, clone.layers):
-        assert a.activation == b.activation
-        assert np.allclose(a.weights, b.weights)
-        assert np.allclose(a.bias, b.bias)

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftbench.detector import standardize
@@ -15,6 +15,7 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6,
 
 
 @given(st.lists(finite_floats, min_size=2, max_size=32))
+@example([699051.291833258] * 3)  # constant, but the mean rounds off it
 def test_standardize_output_is_zero_mean_unit_sigma_or_zero(values):
     out = standardize(values)
     if np.all(out == 0.0):
@@ -28,6 +29,9 @@ def test_standardize_output_is_zero_mean_unit_sigma_or_zero(values):
                 min_size=2, max_size=16),
        st.floats(min_value=0.1, max_value=100.0),
        st.floats(min_value=-1e3, max_value=1e3))
+# a resolvable spread that the map shrinks to 1e-10 of the mean: it must
+# not be taken for a constant row
+@example([0.0, 4e-6], 0.1, 1000.0)
 def test_standardize_invariant_to_positive_affine_maps(values, scale, shift):
     # spreads near float epsilon vanish when shifted; the invariance is
     # only meaningful for numerically resolvable inputs
