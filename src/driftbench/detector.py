@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (
-    AdadeltaOptimizer,
+    AdadeltaState,
     Network,
     TrainingDivergedError,
     _backward,
@@ -182,6 +182,30 @@ def train_gan(registry: DistributionRegistry, config: DetectorConfig, rng,
     ) from last_error
 
 
+# Elements of one (rows, len(b), d) difference block in _nearest_distances.
+DISTANCE_BLOCK = 1 << 18
+
+
+def _nearest_distances(a, b, skip_self=False) -> np.ndarray:
+    """Euclidean distance from each row of ``a`` to its nearest row of ``b``.
+
+    Works over chunks of ``a``'s rows, so the temporaries stay within
+    ``DISTANCE_BLOCK`` elements whatever the sizes; each pair's distance
+    is the same ``np.linalg.norm`` of the difference as over the whole
+    block. With ``skip_self`` (``a`` is ``b``), row i of ``a`` is not
+    compared with row i of ``b``.
+    """
+    rows = max(1, DISTANCE_BLOCK // max(1, b.size))
+    nearest = np.empty(len(a))
+    for lo in range(0, len(a), rows):
+        dist = np.linalg.norm(a[lo:lo + rows, None, :] - b[None, :, :], axis=2)
+        if skip_self:
+            own = np.arange(len(dist))
+            dist[own, lo + own] = np.inf
+        nearest[lo:lo + rows] = dist.min(axis=1)
+    return nearest
+
+
 def _sample_probes(rng, n, real_vecs, radius):
     """Standardized Gaussian probes kept away from every real vector.
 
@@ -194,10 +218,7 @@ def _sample_probes(rng, n, real_vecs, radius):
     kept = []
     for _ in range(8):  # oversample a few rounds; leftovers are fine
         cand = standardize(rng.normal(0.0, 1.0, (3 * n, d)))
-        dist = np.linalg.norm(
-            cand[:, None, :] - real_vecs[None, :, :], axis=2
-        ).min(axis=1)
-        kept.extend(cand[dist > radius])
+        kept.extend(cand[_nearest_distances(cand, real_vecs) > radius])
         if len(kept) >= n:
             break
     return np.array(kept[:n]) if kept else np.empty((0, d))
@@ -220,18 +241,16 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
             [d, *DISCRIMINATOR_HIDDEN, n_out],
             ["relu", "relu", "sigmoid"], rng,
         )
-    gen_opt = AdadeltaOptimizer(generator, epsilon=config.gan_adadelta_epsilon)
-    disc_opt = AdadeltaOptimizer(discriminator,
-                                 epsilon=config.gan_adadelta_epsilon)
+    gen_opt = AdadeltaState.for_param(generator.params,
+                                      epsilon=config.gan_adadelta_epsilon)
+    disc_opt = AdadeltaState.for_param(discriminator.params,
+                                       epsilon=config.gan_adadelta_epsilon)
 
     # probe rejection radius: a multiple of the mean nearest-neighbour
     # distance among the real vectors, so probes stay clear of regions a
     # fresh draw from a seen distribution could plausibly land in
-    pair_dist = np.linalg.norm(
-        real_vecs[:, None, :] - real_vecs[None, :, :], axis=2
-    )
-    np.fill_diagonal(pair_dist, np.inf)
-    nn_dist = float(pair_dist.min(axis=1).mean())
+    nn_dist = float(
+        _nearest_distances(real_vecs, real_vecs, skip_self=True).mean())
     probe_radius = config.probe_radius_scale * nn_dist
     jitter = config.real_jitter_scale * nn_dist
 
@@ -275,6 +294,9 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
             # discriminator to call the fake by the imitated distribution's
             # id. The adversarial pull is capped relative to the prediction
             # gradient so it cannot drag fakes into a foreign real region.
+            # loss_gradients(discriminator, ...) overwrites
+            # discriminator.grads; that is safe because every
+            # discriminator step recomputes them before applying them.
             pre, post = generator.forward_cached(seq_batch)
             out = post[-1]
             mse_grad = 2.0 * (out - next_batch) / len(out)
@@ -289,8 +311,8 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
             gen_loss = mse_value + ce_value
             if not np.isfinite(gen_loss):
                 raise TrainingDivergedError(f"non-finite generator loss: {gen_loss}")
-            grads, _ = _backward(generator, pre, post, mse_grad + ce_grad, False)
-            apply_gradients(generator, grads, gen_opt)
+            _backward(generator, pre, post, mse_grad + ce_grad, False)
+            apply_gradients(generator, gen_opt)
 
         # stop once the discriminator separates all reals from current fakes
         all_fake = generator.forward(seqs)

@@ -6,6 +6,16 @@ losses needed by the rest of the package are mean squared error on the
 network output and softmax cross-entropy on the final pre-activation
 logits (a sigmoid output layer is scored through its logits, which
 preserves the argmax).
+
+Each network keeps all of its parameters in one contiguous float64
+buffer, ``Network.params``, and their gradients in a second buffer of
+the same layout, ``Network.grads``. A layer's ``weights``/``bias`` are
+reshaped views into ``params`` and its ``grad_weights``/``grad_bias``
+views into ``grads``. A backward pass writes the gradients into
+``grads`` in place, so the gradients that ``loss_gradients`` returns are
+views of ``net.grads``: they are valid until the next backward pass on
+that network. Adadelta updates ``params`` in one pass over the flat
+buffers.
 """
 
 from __future__ import annotations
@@ -22,17 +32,34 @@ class TrainingDivergedError(RuntimeError):
     """A training step produced a non-finite loss or gradient."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Layer:
-    weights: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    """One dense layer. Frozen: its arrays are views into the network's
+    buffers and are written in place, never rebound."""
+
+    weights: np.ndarray  # (out, in), a view into Network.params
+    bias: np.ndarray  # (out,), a view into Network.params
+    grad_weights: np.ndarray  # (out, in), a view into Network.grads
+    grad_bias: np.ndarray  # (out,), a view into Network.grads
     activation: str
 
 
-def _init_layer(fan_in: int, fan_out: int, activation: str, rng) -> Layer:
+def _layer_views(buffer: np.ndarray, sizes) -> list:
+    """``(weights, bias)`` views per layer into one flat buffer."""
+    views, offset = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = offset + fan_out * fan_in
+        views.append((buffer[offset:end].reshape(fan_out, fan_in),
+                      buffer[end:end + fan_out]))
+        offset = end + fan_out
+    return views
+
+
+def _init_layer(layer: Layer, rng) -> None:
+    """Draw a freshly allocated layer's weights; its bias stays zero."""
+    fan_out, fan_in = layer.weights.shape
     limit = 1.0 / np.sqrt(fan_in)
-    weights = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-    return Layer(weights, np.zeros(fan_out), activation)
+    layer.weights[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
 def _activate(z: np.ndarray, name: str) -> np.ndarray:
@@ -78,9 +105,21 @@ class Network:
                 raise ValueError(f"unknown activation {act!r}")
         if rng is None:
             rng = np.random.default_rng()
+        self._allocate(layer_sizes, activations)
+        for layer in self.layers:
+            _init_layer(layer, rng)
+
+    def _allocate(self, layer_sizes, activations) -> None:
+        """Zeroed ``params`` and ``grads`` buffers and the layers' views."""
+        total = sum((fan_in + 1) * fan_out
+                    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+        self.params = np.zeros(total)
+        self.grads = np.zeros(total)
         self.layers = [
-            _init_layer(layer_sizes[i], layer_sizes[i + 1], activations[i], rng)
-            for i in range(len(activations))
+            Layer(w, b, grad_w, grad_b, act)
+            for (w, b), (grad_w, grad_b), act in zip(
+                _layer_views(self.params, layer_sizes),
+                _layer_views(self.grads, layer_sizes), activations)
         ]
 
     @property
@@ -141,10 +180,48 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _check_loss(loss: str) -> None:
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}")
+
+
+def _loss_and_output_grad(scored: np.ndarray, targets, loss: str):
+    """Mean batch loss and its gradient with respect to ``scored``: the
+    network output for ``mse``, the final pre-activation logits for
+    ``cross_entropy``."""
+    n = scored.shape[0]
+    if n == 0:
+        raise ValueError("empty batch")
+    if loss == "mse":
+        target = np.atleast_2d(np.asarray(targets, dtype=float))
+        if target.shape != scored.shape:
+            raise ValueError("mse targets must match the output shape")
+        diff = scored - target
+        value = float(np.mean(diff**2))
+        return value, 2.0 * diff / diff.size
+    labels = np.asarray(targets, dtype=int).ravel()
+    if labels.shape[0] != n:
+        raise ValueError("one class index per batch row required")
+    if labels.min() < 0 or labels.max() >= scored.shape[1]:
+        raise ValueError("class index out of range")
+    probs = _softmax(scored)
+    value = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
+    out_grad = probs.copy()
+    out_grad[np.arange(n), labels] -= 1.0
+    out_grad /= n
+    return value, out_grad
+
+
 def batch_loss(net: Network, inputs, targets, loss: str) -> float:
-    """Loss value as used by train_step, without touching parameters."""
-    value, _, _ = loss_gradients(net, inputs, targets, loss)
-    return value
+    """Loss value as used by train_step, from a forward pass alone.
+
+    Holds one layer's activations at a time and touches neither the
+    parameters nor ``net.grads``.
+    """
+    _check_loss(loss)
+    batch = np.atleast_2d(inputs)
+    scored = net.logits(batch) if loss == "cross_entropy" else net.forward(batch)
+    return _loss_and_output_grad(scored, targets, loss)[0]
 
 
 def loss_gradients(net: Network, inputs, targets, loss: str):
@@ -153,64 +230,51 @@ def loss_gradients(net: Network, inputs, targets, loss: str):
     Returns ``(loss, [(grad_w, grad_b) per layer], grad_inputs)``.
     For ``cross_entropy`` the loss is softmax cross-entropy on the final
     pre-activation logits and ``targets`` are integer class indices; for
-    ``mse`` targets are vectors shaped like the output.
+    ``mse`` targets are vectors shaped like the output. The parameter
+    gradients are the layers' views of ``net.grads``: they are valid
+    until the next backward pass on ``net`` overwrites them.
     """
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}")
+    _check_loss(loss)
     pre, post = net.forward_cached(inputs)
-    n = post[0].shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-
-    if loss == "mse":
-        target = np.atleast_2d(np.asarray(targets, dtype=float))
-        if target.shape != post[-1].shape:
-            raise ValueError("mse targets must match the output shape")
-        diff = post[-1] - target
-        value = float(np.mean(diff**2))
-        out_grad = 2.0 * diff / diff.size
-        skip_final = False
-    else:
-        labels = np.asarray(targets, dtype=int).ravel()
-        if labels.shape[0] != n:
-            raise ValueError("one class index per batch row required")
-        if labels.min() < 0 or labels.max() >= net.output_size:
-            raise ValueError("class index out of range")
-        probs = _softmax(pre[-1])
-        value = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-        out_grad = probs.copy()
-        out_grad[np.arange(n), labels] -= 1.0
-        out_grad /= n
-        skip_final = True
-
-    grads, input_grad = _backward(net, pre, post, out_grad, skip_final)
-    return value, grads, input_grad
+    cross_entropy = loss == "cross_entropy"
+    value, out_grad = _loss_and_output_grad(
+        pre[-1] if cross_entropy else post[-1], targets, loss)
+    input_grad = _backward(net, pre, post, out_grad, cross_entropy)
+    return value, [(l.grad_weights, l.grad_bias) for l in net.layers], input_grad
 
 
 def _backward(net, pre, post, out_grad, skip_final_activation):
-    grads = [None] * len(net.layers)
+    """Backpropagate ``out_grad``: write the parameter gradients into
+    ``net.grads`` and return the gradient with respect to the inputs."""
     delta = out_grad
     if not skip_final_activation:
         delta = delta * _activate_grad(pre[-1], net.layers[-1].activation)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        grads[i] = (delta.T @ post[i], delta.sum(axis=0))
+        np.matmul(delta.T, post[i], out=layer.grad_weights)
+        np.sum(delta, axis=0, out=layer.grad_bias)
         if i > 0:
             delta = (delta @ layer.weights) * _activate_grad(
                 pre[i - 1], net.layers[i - 1].activation
             )
         else:
             delta = delta @ layer.weights
-    return grads, delta
+    return delta
 
 
 # ---------------------------------------------------------------------------
 # Adadelta
 
 
+# Elements per block of the Adadelta pass: a block of each operand stays
+# in cache across the whole sequence of operations on it.
+ADADELTA_BLOCK = 32_768
+
+
 @dataclass
 class AdadeltaState:
-    """Per-parameter accumulators for one tensor."""
+    """Adadelta accumulators for one parameter array. A network's
+    optimizer is ``AdadeltaState.for_param(net.params)``."""
 
     avg_sq_grad: np.ndarray
     avg_sq_delta: np.ndarray
@@ -223,60 +287,79 @@ class AdadeltaState:
 
 
 def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState):
-    """In-place Adadelta step; returns the updated parameter."""
+    """In-place Adadelta step (Zeiler 2012); returns the updated parameter.
+
+    One pass over the flattened arrays in blocks of ``ADADELTA_BLOCK``
+    elements, with two block-sized scratch arrays; ``param`` and the
+    accumulators must be C-contiguous. Each block goes through the
+    operations of the textbook update in their order, so the result
+    matches it bit for bit::
+
+        Eg = rho * Eg + (1 - rho) * g**2
+        delta = -sqrt((Ed + eps) / (Eg + eps)) * g
+        Ed = rho * Ed + (1 - rho) * delta**2
+        param += delta
+    """
     rho, eps = state.decay, state.epsilon
-    state.avg_sq_grad *= rho
-    state.avg_sq_grad += (1.0 - rho) * grad**2
-    delta = -np.sqrt((state.avg_sq_delta + eps) / (state.avg_sq_grad + eps)) * grad
-    state.avg_sq_delta *= rho
-    state.avg_sq_delta += (1.0 - rho) * delta**2
-    param += delta
+    updated = (param, state.avg_sq_grad, state.avg_sq_delta)
+    if not all(a.flags.c_contiguous for a in updated):
+        raise ValueError("adadelta_update needs C-contiguous parameter "
+                         "and accumulator arrays")
+    p, eg, ed = (a.reshape(-1) for a in updated)
+    g = np.ravel(grad)
+    size = min(p.size, ADADELTA_BLOCK)
+    step, scratch = np.empty(size), np.empty(size)
+    for lo in range(0, p.size, ADADELTA_BLOCK):
+        g_b = g[lo:lo + ADADELTA_BLOCK]
+        eg_b = eg[lo:lo + ADADELTA_BLOCK]
+        ed_b = ed[lo:lo + ADADELTA_BLOCK]
+        u, t = step[:g_b.size], scratch[:g_b.size]
+        np.multiply(g_b, g_b, out=t)
+        t *= 1.0 - rho
+        eg_b *= rho
+        eg_b += t
+        np.add(ed_b, eps, out=u)
+        np.add(eg_b, eps, out=t)
+        u /= t
+        np.sqrt(u, out=u)
+        u *= g_b  # u = -delta
+        np.multiply(u, u, out=t)
+        t *= 1.0 - rho
+        ed_b *= rho
+        ed_b += t
+        p[lo:lo + ADADELTA_BLOCK] -= u
     return param
 
 
-class AdadeltaOptimizer:
-    """Adadelta state for every tensor of one network."""
-
-    def __init__(self, net: Network, decay: float = 0.95, epsilon: float = 1e-6):
-        self.decay = decay
-        self.epsilon = epsilon
-        self.states = [
-            (
-                AdadeltaState.for_param(l.weights, decay, epsilon),
-                AdadeltaState.for_param(l.bias, decay, epsilon),
-            )
-            for l in net.layers
-        ]
-
-
-def apply_gradients(net: Network, grads, opt: AdadeltaOptimizer) -> None:
-    for layer, (grad_w, grad_b), (state_w, state_b) in zip(
-        net.layers, grads, opt.states
-    ):
-        adadelta_update(layer.weights, grad_w, state_w)
-        adadelta_update(layer.bias, grad_b, state_b)
+def apply_gradients(net: Network, state: AdadeltaState) -> None:
+    """Adadelta step on ``net.params`` from ``net.grads``."""
+    adadelta_update(net.params, net.grads, state)
 
 
 def train_step(net: Network, batch_inputs, batch_targets, loss: str,
-               opt: AdadeltaOptimizer) -> float:
+               state: AdadeltaState) -> float:
     """One backprop + Adadelta step; returns the pre-update mean batch loss."""
-    value, grads, _ = loss_gradients(net, batch_inputs, batch_targets, loss)
+    value, _, _ = loss_gradients(net, batch_inputs, batch_targets, loss)
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite {loss} loss: {value}")
-    apply_gradients(net, grads, opt)
+    apply_gradients(net, state)
     return value
 
 
 def extend_output_layer(net: Network, rng=None) -> Network:
     """Grow the output layer by one unit.
 
-    Layers below the top are left untouched; the whole final layer is
-    reinitialized (a retrain always follows an extension).
+    Both buffers are reallocated. Layers below the top keep their
+    parameters; the whole final layer is reinitialized (a retrain always
+    follows an extension).
     """
     if rng is None:
         rng = np.random.default_rng()
-    last = net.layers[-1]
-    fan_in = last.weights.shape[1]
-    net.layers[-1] = _init_layer(fan_in, last.weights.shape[0] + 1,
-                                 last.activation, rng)
+    sizes = [net.input_size] + [l.weights.shape[0] for l in net.layers]
+    sizes[-1] += 1
+    old, last = net.params, net.layers[-1]
+    kept = old.size - last.weights.size - last.bias.size
+    net._allocate(sizes, [l.activation for l in net.layers])
+    net.params[:kept] = old[:kept]
+    _init_layer(net.layers[-1], rng)
     return net

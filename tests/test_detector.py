@@ -1,6 +1,7 @@
 """Tests for standardization, the registry, and the drift state machine."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,3 +295,27 @@ def test_train_gan_rejects_empty_or_short_registry():
     registry.add(window(0, n=3))  # shorter than seq_len + 1
     with pytest.raises(ValueError):
         train_gan(registry, config, rng)
+
+
+def _train_gan_peak_mb(n_windows, d=12):
+    config = DetectorConfig(rho=20, gan_max_epochs=1)
+    registry = DistributionRegistry(config.per_dist_cap)
+    rng = np.random.default_rng(0)
+    for i in range(n_windows):
+        registry.add(standardize(rng.normal(i, 1.0, size=(config.rho, d))))
+    registry.current = 1
+    tracemalloc.start()
+    try:
+        train_gan(registry, config, np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_gan_memory_does_not_grow_quadratically_with_the_registry():
+    # The epoch-end passes over every stored row grow linearly, by about
+    # 37 MB from 5 to 40 windows here. A full (rows x rows x d) block of
+    # nearest-neighbour differences would add about 85 MB more at 40
+    # windows, and grows quadratically.
+    growth = _train_gan_peak_mb(40) - _train_gan_peak_mb(5)
+    assert growth < 50.0

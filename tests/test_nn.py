@@ -1,16 +1,18 @@
 """Unit tests for the network / backprop / Adadelta core."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from driftbench.nn import (
-    AdadeltaOptimizer,
+    ADADELTA_BLOCK,
     AdadeltaState,
     Network,
     TrainingDivergedError,
     adadelta_update,
+    apply_gradients,
     batch_loss,
     extend_output_layer,
     loss_gradients,
@@ -27,8 +29,8 @@ def small_net(sizes, activations, seed=0):
 
 def test_forward_identity_linear_layer():
     net = small_net([3, 3], ["linear"])
-    net.layers[0].weights = np.eye(3)
-    net.layers[0].bias = np.zeros(3)
+    net.layers[0].weights[...] = np.eye(3)
+    net.layers[0].bias[...] = np.zeros(3)
     x = np.array([1.5, -2.0, 0.25])
     assert np.allclose(net.forward(x), x)
 
@@ -36,10 +38,10 @@ def test_forward_identity_linear_layer():
 def test_forward_hand_computed_two_layer():
     # first layer relu(Wx + b), second layer linear
     net = small_net([2, 2, 1], ["relu", "linear"])
-    net.layers[0].weights = np.array([[1.0, -1.0], [0.5, 0.5]])
-    net.layers[0].bias = np.array([0.0, 1.0])
-    net.layers[1].weights = np.array([[2.0, -3.0]])
-    net.layers[1].bias = np.array([0.25])
+    net.layers[0].weights[...] = np.array([[1.0, -1.0], [0.5, 0.5]])
+    net.layers[0].bias[...] = np.array([0.0, 1.0])
+    net.layers[1].weights[...] = np.array([[2.0, -3.0]])
+    net.layers[1].bias[...] = np.array([0.25])
     x = np.array([2.0, 1.0])
     hidden = np.maximum([2.0 - 1.0, 1.0 + 1.5], 0.0)  # [1, 2.5]
     expected = 2.0 * hidden[0] - 3.0 * hidden[1] + 0.25
@@ -85,6 +87,15 @@ def test_init_ranges():
     limit = 1.0 / math.sqrt(100)
     assert np.all(np.abs(net.layers[0].weights) <= limit)
     assert np.all(net.layers[0].bias == 0.0)
+
+
+def test_layer_arrays_cannot_be_rebound():
+    # a rebound array would leave params (and the optimizer) behind
+    net = small_net([3, 3], ["linear"])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers[0].weights = np.eye(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers[0].grad_bias = np.zeros(3)
 
 
 # -- gradients --------------------------------------------------------------
@@ -158,11 +169,55 @@ def test_loss_gradients_validation():
         loss_gradients(net, np.zeros((2, 2)), [0, 3], "cross_entropy")
 
 
+def test_loss_gradients_are_views_of_grads():
+    net = small_net([3, 5, 2], ["relu", "sigmoid"], seed=1)
+    _, grads, _ = loss_gradients(net, np.ones((4, 3)), np.zeros((4, 2)), "mse")
+    for grad_w, grad_b in grads:
+        assert np.shares_memory(grad_w, net.grads)
+        assert np.shares_memory(grad_b, net.grads)
+    assert sum(g.size for pair in grads for g in pair) == net.grads.size
+
+
+def _targets(loss, rng, n, width):
+    if loss == "mse":
+        return rng.normal(size=(n, width))
+    return rng.integers(0, width, size=n)
+
+
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_batch_loss_equals_loss_gradients_and_leaves_grads(loss):
+    net = small_net([3, 6, 4], ["relu", "sigmoid"], seed=4)
+    rng = np.random.default_rng(6)
+    inputs, targets = rng.normal(size=(9, 3)), _targets(loss, rng, 9, 4)
+    value, _, _ = loss_gradients(net, inputs, targets, loss)
+    grads = net.grads.copy()
+    assert batch_loss(net, inputs, targets, loss) == value
+    # a batch whose gradients would differ leaves net.grads as it was
+    batch_loss(net, rng.normal(size=(5, 3)), _targets(loss, rng, 5, 4), loss)
+    assert np.array_equal(net.grads, grads)
+
+
+@pytest.mark.parametrize("loss, inputs, targets", [
+    ("hinge", np.zeros((2, 2)), np.zeros((2, 3))),
+    ("mse", np.zeros((0, 2)), np.zeros((0, 3))),
+    ("mse", np.zeros((2, 2)), np.zeros((2, 2))),
+    ("cross_entropy", np.zeros((2, 2)), [0, 3]),
+    ("cross_entropy", np.zeros((2, 2)), [0]),
+])
+def test_batch_loss_raises_as_loss_gradients(loss, inputs, targets):
+    net = small_net([2, 3], ["sigmoid"])
+    with pytest.raises(ValueError) as expected:
+        loss_gradients(net, inputs, targets, loss)
+    with pytest.raises(ValueError) as raised:
+        batch_loss(net, inputs, targets, loss)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_cross_entropy_value_oracle():
     # single linear layer, identity weights: logits == inputs
     net = small_net([2, 2], ["linear"])
-    net.layers[0].weights = np.eye(2)
-    net.layers[0].bias = np.zeros(2)
+    net.layers[0].weights[...] = np.eye(2)
+    net.layers[0].bias[...] = np.zeros(2)
     x = np.array([[2.0, 0.0]])
     value = batch_loss(net, x, [0], "cross_entropy")
     expected = -math.log(math.exp(2.0) / (math.exp(2.0) + 1.0))
@@ -170,6 +225,53 @@ def test_cross_entropy_value_oracle():
 
 
 # -- Adadelta ---------------------------------------------------------------
+
+
+def reference_adadelta_update(param, grad, state):
+    """The textbook update over whole arrays, the blocked kernel's oracle."""
+    rho, eps = state.decay, state.epsilon
+    state.avg_sq_grad *= rho
+    state.avg_sq_grad += (1.0 - rho) * grad**2
+    delta = -np.sqrt((state.avg_sq_delta + eps) / (state.avg_sq_grad + eps)) * grad
+    state.avg_sq_delta *= rho
+    state.avg_sq_delta += (1.0 - rho) * delta**2
+    param += delta
+    return param
+
+
+@pytest.mark.parametrize("shape", [(3 * ADADELTA_BLOCK + 17,), (7, 5), (1,)])
+def test_blocked_adadelta_matches_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(12)
+    param = rng.normal(size=shape)
+    expected = param.copy()
+    state = AdadeltaState.for_param(param, epsilon=1e-4)
+    expected_state = AdadeltaState.for_param(expected, epsilon=1e-4)
+    for _ in range(6):
+        # gradients spread over many magnitudes, zeros among them
+        grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 3, size=shape)
+        grad[rng.random(size=shape) < 0.05] = 0.0
+        assert adadelta_update(param, grad, state) is param
+        reference_adadelta_update(expected, grad, expected_state)
+    assert np.array_equal(param, expected)
+    assert np.array_equal(state.avg_sq_grad, expected_state.avg_sq_grad)
+    assert np.array_equal(state.avg_sq_delta, expected_state.avg_sq_delta)
+
+
+def test_adadelta_rejects_a_parameter_it_cannot_update_in_place():
+    param = np.zeros((3, 4)).T  # no flat view of it exists
+    with pytest.raises(ValueError):
+        adadelta_update(param, np.ones((4, 3)), AdadeltaState.for_param(param))
+
+
+def test_apply_gradients_steps_params_from_grads():
+    net = small_net([3, 4, 2], ["relu", "linear"], seed=3)
+    loss_gradients(net, np.ones((2, 3)), [0, 1], "cross_entropy")
+    state = AdadeltaState.for_param(net.params)
+    expected = net.params.copy()
+    reference_adadelta_update(expected, net.grads,
+                              AdadeltaState.for_param(expected))
+    apply_gradients(net, state)
+    assert np.array_equal(net.params, expected)
 
 
 def test_adadelta_fresh_unit_gradient_step():
@@ -222,7 +324,7 @@ def test_adadelta_converges_on_quadratic():
 
 def test_train_step_reduces_convex_loss():
     net = small_net([2, 1], ["linear"], seed=2)
-    opt = AdadeltaOptimizer(net)
+    opt = AdadeltaState.for_param(net.params)
     rng = np.random.default_rng(8)
     x = rng.normal(size=(64, 2))
     y = (x @ np.array([1.0, -2.0]))[:, None]
@@ -233,7 +335,7 @@ def test_train_step_reduces_convex_loss():
 def test_train_step_raises_on_divergence():
     net = small_net([2, 1], ["linear"])
     net.layers[0].weights[:] = np.inf
-    opt = AdadeltaOptimizer(net)
+    opt = AdadeltaState.for_param(net.params)
     with pytest.raises(TrainingDivergedError):
         train_step(net, np.ones((1, 2)), np.ones((1, 1)), "mse", opt)
 
@@ -252,3 +354,21 @@ def test_extend_output_layer_grows_and_preserves_lower_layers():
     out = net.forward(np.ones(3))
     assert out.shape == (3,)
     assert np.all((out >= 0.0) & (out <= 1.0))  # still a sigmoid layer
+
+
+def test_extend_output_layer_rebuilds_views_into_new_buffers():
+    net = small_net([3, 5, 2], ["relu", "sigmoid"], seed=6)
+    lower = net.params[:3 * 5 + 5].copy()
+    extend_output_layer(net, np.random.default_rng(1))
+    assert net.params.size == net.grads.size == (3 + 1) * 5 + (5 + 1) * 3
+    for layer in net.layers:
+        assert np.shares_memory(layer.weights, net.params)
+        assert np.shares_memory(layer.bias, net.params)
+        assert np.shares_memory(layer.grad_weights, net.grads)
+        assert np.shares_memory(layer.grad_bias, net.grads)
+    assert net.params[:lower.size].tobytes() == lower.tobytes()
+    # the top layer is one fresh draw, as in a newly built network
+    limit = 1.0 / math.sqrt(5)
+    draw = np.random.default_rng(1).uniform(-limit, limit, size=(3, 5))
+    assert np.array_equal(net.layers[1].weights, draw)
+    assert np.all(net.layers[1].bias == 0.0)
