@@ -37,31 +37,34 @@ def _normal_cdf(x: float) -> float:
 
 
 class _LeafStats:
-    """Sufficient statistics kept at a leaf."""
+    """Sufficient statistics kept at a leaf.
+
+    Every feature of an instance is seen with its class, so one count
+    per class serves all of that class's per-feature accumulators.
+    """
 
     def __init__(self, n_features: int, n_classes: int):
         self.class_counts = np.zeros(n_classes)
-        # per (feature, class) Welford accumulators
-        self.counts = np.zeros((n_features, n_classes))
-        self.means = np.zeros((n_features, n_classes))
-        self.m2 = np.zeros((n_features, n_classes))
+        # per-class Welford accumulators, one row of features per class
+        self.means = np.zeros((n_classes, n_features))
+        self.m2 = np.zeros((n_classes, n_features))
         self.feat_min = np.full(n_features, np.inf)
         self.feat_max = np.full(n_features, -np.inf)
 
     def update(self, x: np.ndarray, y: int) -> None:
         self.class_counts[y] += 1
-        self.feat_min = np.minimum(self.feat_min, x)
-        self.feat_max = np.maximum(self.feat_max, x)
-        self.counts[:, y] += 1
-        delta = x - self.means[:, y]
-        self.means[:, y] += delta / self.counts[:, y]
-        self.m2[:, y] += delta * (x - self.means[:, y])
+        np.minimum(self.feat_min, x, out=self.feat_min)
+        np.maximum(self.feat_max, x, out=self.feat_max)
+        means = self.means[y]
+        delta = x - means
+        means += delta / self.class_counts[y]
+        self.m2[y] += delta * (x - means)
 
     def std(self, feature: int, label: int) -> float:
-        n = self.counts[feature, label]
+        n = self.class_counts[label]
         if n < 2:
             return 0.0
-        return math.sqrt(self.m2[feature, label] / n)
+        return math.sqrt(self.m2[label, feature] / n)
 
 
 class _Node:
@@ -90,9 +93,10 @@ class _Node:
         return node
 
     def majority(self) -> int:
-        if self.stats.class_counts.sum() == 0:
+        counts = self.stats.class_counts
+        if not counts.any():
             return self.fallback_label
-        return int(np.argmax(self.stats.class_counts))
+        return int(counts.argmax())
 
 
 class HoeffdingTreeClassifier:
@@ -206,15 +210,15 @@ class HoeffdingTreeClassifier:
     def _left_counts(self, stats: _LeafStats, feature: int, t: float) -> np.ndarray:
         left = np.zeros(self.n_classes)
         for c in range(self.n_classes):
-            n = stats.counts[feature, c]
+            n = stats.class_counts[c]
             if n <= 0:
                 continue
             sd = stats.std(feature, c)
             if sd <= 0.0:
-                frac = 1.0 if stats.means[feature, c] <= t else 0.0
+                frac = 1.0 if stats.means[c, feature] <= t else 0.0
             else:
-                frac = _normal_cdf((t - stats.means[feature, c]) / sd)
-            left[c] = stats.class_counts[c] * frac
+                frac = _normal_cdf((t - stats.means[c, feature]) / sd)
+            left[c] = n * frac
         return left
 
     def _split(self, leaf: _Node, feature: int, threshold: float) -> None:

@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftbench.detector import (
+    CONSENSUS_HEAD,
     DetectorConfig,
     DistributionRegistry,
     DriftGanDetector,
@@ -14,6 +17,7 @@ from driftbench.detector import (
     standardize,
     train_gan,
 )
+from driftbench.nn import Network
 from driftbench.streams import default_concepts
 
 
@@ -209,6 +213,85 @@ def test_detect_small_batch_buffers_until_rho(monkeypatch):
     assert [det.observe(x) for x in raw[5:]] == [None] * 5
     assert len(registered) == 1
     assert np.array_equal(np.array(registered[0]), standardize(raw))
+
+
+def full_batch_decision(ids, current):
+    """The consensus rule over every row of a batch: the id of the drift
+    when all rows map to one id other than ``current``, else None."""
+    first = ids[0]
+    if first != current and all(i == first for i in ids):
+        return first
+    return None
+
+
+@st.composite
+def id_batches(draw):
+    """Per-row ids of a batch: one id, with up to three rows changed."""
+    n = draw(st.integers(min_value=1, max_value=120))
+    ids = [draw(st.integers(min_value=0, max_value=2))] * n
+    changes = st.tuples(st.integers(min_value=0, max_value=n - 1),
+                        st.integers(min_value=0, max_value=2))
+    for pos, value in draw(st.lists(changes, max_size=3)):
+        ids[pos] = value
+    return ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_batches(), st.integers(min_value=1, max_value=2))
+@example([0], 1)
+@example([2] * 5, 1)
+@example([2] * CONSENSUS_HEAD, 1)
+@example([2] * (CONSENSUS_HEAD - 1) + [0], 1)
+@example([2] * CONSENSUS_HEAD + [0], 1)
+@example([0] * 100, 2)
+@example([1] * 120, 2)
+def test_detect_decides_as_the_full_batch_rule(ids, current):
+    det = detector_with_stub(lambda row: int(row[0]), current=current)
+    registered = []
+    det.register_distribution = lambda w: registered.append(len(w)) or 3
+    batch = np.array(ids, dtype=float)[:, None]
+    event = det.detect(batch, 199)
+    expected = full_batch_decision(ids, current)
+    if expected is None:
+        assert event is None and det.events == []
+        assert det.registry.current == current
+        assert registered == [] and det._pending_window is None
+    elif expected == 0:
+        assert (event.kind, event.dist_id) == ("new", 3)
+        assert det.registry.current == current  # until the window is trained
+        if len(ids) >= det.config.rho:
+            assert registered == [det.config.rho]
+        else:
+            assert registered == [] and det._pending_window is batch
+    else:
+        assert (event.kind, event.dist_id) == ("recurring", expected)
+        assert det.registry.current == expected
+    if event is not None:
+        assert det.events == [event] and event.instance_index == 199
+
+
+def test_detect_needs_the_rows_after_the_head():
+    ids = [0] * 100
+    ids[50] = 2  # the head agrees on the unseen id; row 50 does not
+    det = detector_with_stub(lambda row: int(row[0]), current=1)
+    det.register_distribution = lambda w: pytest.fail("registered a window")
+    assert det.detect(np.array(ids, dtype=float)[:, None], 199) is None
+    assert det.events == [] and det._pending_window is None
+    assert len(det.registry) == 2 and det.registry.current == 1
+
+
+def test_no_drift_batch_forwards_only_the_head():
+    det = detector_with_stub(lambda row: 1, current=1)
+    net = Network([4, 16, 3], ["relu", "sigmoid"], np.random.default_rng(0))
+    batch = standardize(np.random.default_rng(1).normal(size=(100, 4)))
+    head = classify_batch(net, batch[:CONSENSUS_HEAD])
+    assert head[0] != 1 and len(set(head)) > 1  # a disagreeing head
+    rows = []
+    forward = net.forward
+    net.forward = lambda x: rows.append(len(x)) or forward(x)
+    det.discriminator = net
+    assert det.detect(batch, 199) is None
+    assert rows == [CONSENSUS_HEAD]
 
 
 def test_inconsistent_discriminator_is_an_error():

@@ -16,6 +16,10 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6,
 
 @given(st.lists(finite_floats, min_size=2, max_size=32))
 @example([699051.291833258] * 3)  # constant, but the mean rounds off it
+# squared deviations below ~1e-154 underflow and above ~1e154 overflow
+@example([1e-170, 3e-170, 2e-170])
+@example([0.0, 1.3465504131170187e-160])
+@example([1e200, -1e200])
 def test_standardize_output_is_zero_mean_unit_sigma_or_zero(values):
     out = standardize(values)
     if np.all(out == 0.0):

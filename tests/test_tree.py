@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from driftbench.tree import HoeffdingTreeClassifier, hoeffding_bound
+from driftbench import tree as tree_module
+from driftbench.tree import (
+    HoeffdingTreeClassifier,
+    _LeafStats,
+    _normal_cdf,
+    hoeffding_bound,
+)
 
 
 def test_hoeffding_bound_oracle():
@@ -119,3 +125,97 @@ def test_get_params_round_trip():
     params = tree.get_params()
     clone = HoeffdingTreeClassifier(**params)
     assert clone.get_params() == params
+
+
+# -- the leaf layout against the per-(feature, class) reference ---------------
+
+
+class ReferenceLeafStats:
+    """The per-(feature, class) Welford leaf, with a count per pair."""
+
+    def __init__(self, n_features, n_classes):
+        self.class_counts = np.zeros(n_classes)
+        self.counts = np.zeros((n_features, n_classes))
+        self.means = np.zeros((n_features, n_classes))
+        self.m2 = np.zeros((n_features, n_classes))
+        self.feat_min = np.full(n_features, np.inf)
+        self.feat_max = np.full(n_features, -np.inf)
+
+    def update(self, x, y):
+        self.class_counts[y] += 1
+        self.feat_min = np.minimum(self.feat_min, x)
+        self.feat_max = np.maximum(self.feat_max, x)
+        self.counts[:, y] += 1
+        delta = x - self.means[:, y]
+        self.means[:, y] += delta / self.counts[:, y]
+        self.m2[:, y] += delta * (x - self.means[:, y])
+
+    def std(self, feature, label):
+        n = self.counts[feature, label]
+        if n < 2:
+            return 0.0
+        return math.sqrt(self.m2[feature, label] / n)
+
+
+class ReferenceTree(HoeffdingTreeClassifier):
+    """A tree whose split search reads the reference leaf layout."""
+
+    def _left_counts(self, stats, feature, t):
+        left = np.zeros(self.n_classes)
+        for c in range(self.n_classes):
+            if stats.counts[feature, c] <= 0:
+                continue
+            sd = stats.std(feature, c)
+            if sd <= 0.0:
+                frac = 1.0 if stats.means[feature, c] <= t else 0.0
+            else:
+                frac = _normal_cdf((t - stats.means[feature, c]) / sd)
+            left[c] = stats.class_counts[c] * frac
+        return left
+
+
+def three_class_stream(n, seed=0):
+    """Three classes set by nested thresholds on three of four features
+    (the fourth is noise on another scale), with 5% of labels redrawn."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, size=(n, 4)) * [1.0, 2.0, 0.5, 1e3]
+    ys = np.where(xs[:, 0] < -0.3, 0, np.where(xs[:, 1] < 0.5, 1, 2))
+    ys[(xs[:, 0] > 0.6) & (xs[:, 2] > 0.0)] = 0
+    flip = rng.random(n) < 0.05
+    ys[flip] = rng.integers(0, 3, size=flip.sum())
+    return xs, ys
+
+
+def test_leaf_stats_equal_the_per_feature_class_reference():
+    xs, ys = three_class_stream(5000)
+    stats, ref = _LeafStats(4, 3), ReferenceLeafStats(4, 3)
+    for x, y in zip(xs, ys):
+        stats.update(x, y)
+        ref.update(x, y)
+    assert np.array_equal(stats.class_counts, ref.class_counts)
+    assert np.array_equal(ref.counts, np.tile(ref.class_counts, (4, 1)))
+    assert np.array_equal(stats.means, ref.means.T)
+    assert np.array_equal(stats.m2, ref.m2.T)
+    assert np.array_equal(stats.feat_min, ref.feat_min)
+    assert np.array_equal(stats.feat_max, ref.feat_max)
+    for f in range(4):
+        for c in range(3):
+            assert stats.std(f, c) == ref.std(f, c)
+
+
+def test_tree_on_either_leaf_layout_grows_the_same_tree(monkeypatch):
+    xs, ys = three_class_stream(5000, seed=1)
+
+    def prequential(tree):
+        preds = []
+        for x, y in zip(xs, ys):
+            preds.append(tree.predict(x))
+            tree.partial_fit(x, y)
+        return preds
+
+    tree = HoeffdingTreeClassifier(n_features=4, n_classes=3)
+    preds = prequential(tree)
+    monkeypatch.setattr(tree_module, "_LeafStats", ReferenceLeafStats)
+    reference = ReferenceTree(n_features=4, n_classes=3)
+    assert preds == prequential(reference)
+    assert tree.n_nodes() == reference.n_nodes() > 1
