@@ -8,6 +8,11 @@ to a single id different from the current one: a known id means a
 recurring drift, id 0 means a brand-new distribution, which grows the
 discriminator by one output and triggers a full GAN retrain.
 
+Both networks train and classify in ``NETWORK_DTYPE`` (float32): its
+matmuls and its Adadelta pass cost about half of float64's. The
+detector decides on the discriminator's logits, which float32 keeps
+apart long after the sigmoid outputs have rounded to 1.
+
 Nearly every batch of a stream is not a drift, and any row on the
 current id or any two rows that disagree settle that. So ``detect``
 classifies the first ``CONSENSUS_HEAD`` rows of a batch first and the
@@ -39,6 +44,7 @@ log = logging.getLogger("driftbench.detector")
 
 GENERATOR_HIDDEN = (128, 4096)
 DISCRIMINATOR_HIDDEN = (1024, 1024)
+NETWORK_DTYPE = np.float32
 
 
 @dataclass
@@ -136,9 +142,13 @@ def standardize(x) -> np.ndarray:
 
 
 def classify_batch(discriminator: Network, batch) -> list[int]:
-    """Argmax distribution id per vector (ties resolve to the lowest id)."""
-    arr = np.atleast_2d(np.asarray(batch, dtype=float))
-    out = discriminator.forward(arr)
+    """Argmax distribution id per vector (ties resolve to the lowest id).
+
+    The argmax is over the logits, not the sigmoid outputs: the sigmoid
+    rounds every logit above about 17 (float32) or 37 (float64) to 1,
+    and those ties would all go to the lowest id.
+    """
+    out = discriminator.logits(np.atleast_2d(batch))
     return [int(i) for i in np.argmax(out, axis=1)]
 
 
@@ -197,9 +207,9 @@ def train_gan(registry: DistributionRegistry, config: DetectorConfig, rng,
 # Elements of one (rows, len(b), d) difference block in _nearest_distances.
 DISTANCE_BLOCK = 1 << 18
 # Rows of a consensus batch that detect classifies before the rest. With
-# OpenBLAS 0.3.31, an 8-row head and the rows after it get the logits
-# of the whole batch bit for bit; a 1-row head goes through gemv, and
-# its logits differ from the batch's by up to 2e-16.
+# OpenBLAS 0.3.31, an 8-row head and the rows after it get the float32
+# logits of the whole batch bit for bit (sgemm); a 1-row head goes
+# through gemv, and its logits differ from the batch's.
 CONSENSUS_HEAD = 8
 
 
@@ -244,19 +254,24 @@ def _sample_probes(rng, n, real_vecs, radius):
 def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
     seqs, nexts, seq_ids = _sequence_dataset(registry, config.seq_len)
     real_vecs, real_ids = _real_dataset(registry)
+    # The networks compute in NETWORK_DTYPE. The sequences are cast once
+    # here. The real vectors stay float64 for the distances, the jitter
+    # and standardize, like the rest of the detector's data, and are cast
+    # where they are stacked into a discriminator's input.
+    seqs, nexts = seqs.astype(NETWORK_DTYPE), nexts.astype(NETWORK_DTYPE)
     d = real_vecs.shape[1]
     n_out = 1 + len(registry)
 
     if generator is None or generator.input_size != config.seq_len * d:
         generator = Network(
             [config.seq_len * d, *GENERATOR_HIDDEN, d],
-            ["relu", "relu", "linear"], rng,
+            ["relu", "relu", "linear"], rng, NETWORK_DTYPE,
         )
     if (discriminator is None or discriminator.input_size != d
             or discriminator.output_size != n_out):
         discriminator = Network(
             [d, *DISCRIMINATOR_HIDDEN, n_out],
-            ["relu", "relu", "sigmoid"], rng,
+            ["relu", "relu", "sigmoid"], rng, NETWORK_DTYPE,
         )
     gen_opt = AdadeltaState.for_param(generator.params,
                                       epsilon=config.gan_adadelta_epsilon)
@@ -280,7 +295,11 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
             take = order[start:start + mb]
             seq_batch, next_batch, id_batch = seqs[take], nexts[take], seq_ids[take]
 
-            fake = generator.forward(seq_batch)
+            # the generator does not change during the discriminator
+            # steps, so one cached pass gives the fakes and feeds the
+            # generator step
+            pre, post = generator.forward_cached(seq_batch)
+            fake = post[-1]
 
             # discriminator steps: real vectors keep their ids; fakes and
             # unseen-region probes are class 0. Reals get double weight so
@@ -299,7 +318,7 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
                     reals = standardize(
                         reals + rng.normal(0.0, jitter, reals.shape))
                 probes = _sample_probes(rng, len(take), real_vecs, probe_radius)
-                disc_in = np.vstack([reals, fake, probes])
+                disc_in = np.vstack([reals, fake, probes], dtype=NETWORK_DTYPE)
                 disc_labels = np.concatenate([
                     real_ids[real_take],
                     np.zeros(len(fake) + len(probes), dtype=int),
@@ -314,17 +333,15 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
             # loss_gradients(discriminator, ...) overwrites
             # discriminator.grads; that is safe because every
             # discriminator step recomputes them before applying them.
-            pre, post = generator.forward_cached(seq_batch)
-            out = post[-1]
-            mse_grad = 2.0 * (out - next_batch) / len(out)
+            mse_grad = 2.0 * (fake - next_batch) / len(fake)
             ce_value, _, ce_grad = loss_gradients(
-                discriminator, out, id_batch, "cross_entropy"
+                discriminator, fake, id_batch, "cross_entropy"
             )
             mse_norm = float(np.linalg.norm(mse_grad))
             ce_norm = float(np.linalg.norm(ce_grad))
             if ce_norm > config.ce_grad_clip * mse_norm and ce_norm > 0.0:
                 ce_grad = ce_grad * (config.ce_grad_clip * mse_norm / ce_norm)
-            mse_value = float(np.mean((out - next_batch) ** 2))
+            mse_value = float(np.mean((fake - next_batch) ** 2))
             gen_loss = mse_value + ce_value
             if not np.isfinite(gen_loss):
                 raise TrainingDivergedError(f"non-finite generator loss: {gen_loss}")
@@ -335,7 +352,7 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
         all_fake = generator.forward(seqs)
         epoch_loss = batch_loss(
             discriminator,
-            np.vstack([real_vecs, all_fake]),
+            np.vstack([real_vecs, all_fake], dtype=NETWORK_DTYPE),
             np.concatenate([real_ids, np.zeros(len(all_fake), dtype=int)]),
             "cross_entropy",
         )

@@ -5,17 +5,20 @@ Everything runs on numpy arrays; there is no autodiff graph. The two
 losses needed by the rest of the package are mean squared error on the
 network output and softmax cross-entropy on the final pre-activation
 logits (a sigmoid output layer is scored through its logits, which
-preserves the argmax).
+preserves the argmax). The cross entropy is computed by log-sum-exp, so
+it stays finite in float32 however small a label's probability.
 
-Each network keeps all of its parameters in one contiguous float64
-buffer, ``Network.params``, and their gradients in a second buffer of
-the same layout, ``Network.grads``. A layer's ``weights``/``bias`` are
-reshaped views into ``params`` and its ``grad_weights``/``grad_bias``
-views into ``grads``. A backward pass writes the gradients into
-``grads`` in place, so the gradients that ``loss_gradients`` returns are
-views of ``net.grads``: they are valid until the next backward pass on
-that network. Adadelta updates ``params`` in one pass over the flat
-buffers.
+Each network keeps all of its parameters in one contiguous buffer,
+``Network.params``, and their gradients in a second buffer of the same
+layout, ``Network.grads``. Both have the network's dtype (float64 unless
+the constructor is given another); inputs are cast to it, and every
+temporary of the forward pass, the backward pass and Adadelta follows
+it. A layer's ``weights``/``bias`` are reshaped views into ``params``
+and its ``grad_weights``/``grad_bias`` views into ``grads``. A backward
+pass writes the gradients into ``grads`` in place, so the gradients
+that ``loss_gradients`` returns are views of ``net.grads``: they are
+valid until the next backward pass on that network. Adadelta updates
+``params`` in one pass over the flat buffers.
 """
 
 from __future__ import annotations
@@ -56,7 +59,10 @@ def _layer_views(buffer: np.ndarray, sizes) -> list:
 
 
 def _init_layer(layer: Layer, rng) -> None:
-    """Draw a freshly allocated layer's weights; its bias stays zero."""
+    """Draw a freshly allocated layer's weights; its bias stays zero.
+
+    The draw is float64 whatever the network's dtype and is cast on
+    assignment, so the dtype does not change the RNG stream."""
     fan_out, fan_in = layer.weights.shape
     limit = 1.0 / np.sqrt(fan_in)
     layer.weights[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
@@ -79,7 +85,7 @@ def _activate(z: np.ndarray, name: str) -> np.ndarray:
 
 def _activate_grad(z: np.ndarray, name: str) -> np.ndarray:
     if name == "relu":
-        return (z > 0).astype(float)
+        return (z > 0).astype(z.dtype)
     if name == "linear":
         return np.ones_like(z)
     if name == "sigmoid":
@@ -92,10 +98,11 @@ class Network:
     """Dense feed-forward network.
 
     ``layer_sizes`` has length L+1 (input width first), ``activations``
-    has length L, one per layer.
+    has length L, one per layer. ``dtype`` is the dtype of the
+    parameters, the gradients and every array the network computes.
     """
 
-    def __init__(self, layer_sizes, activations, rng=None):
+    def __init__(self, layer_sizes, activations, rng=None, dtype=np.float64):
         if len(layer_sizes) < 2:
             raise ValueError("need at least one layer")
         if len(activations) != len(layer_sizes) - 1:
@@ -105,16 +112,16 @@ class Network:
                 raise ValueError(f"unknown activation {act!r}")
         if rng is None:
             rng = np.random.default_rng()
-        self._allocate(layer_sizes, activations)
+        self._allocate(layer_sizes, activations, dtype)
         for layer in self.layers:
             _init_layer(layer, rng)
 
-    def _allocate(self, layer_sizes, activations) -> None:
+    def _allocate(self, layer_sizes, activations, dtype) -> None:
         """Zeroed ``params`` and ``grads`` buffers and the layers' views."""
         total = sum((fan_in + 1) * fan_out
                     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
-        self.params = np.zeros(total)
-        self.grads = np.zeros(total)
+        self.params = np.zeros(total, dtype=dtype)
+        self.grads = np.zeros(total, dtype=dtype)
         self.layers = [
             Layer(w, b, grad_w, grad_b, act)
             for (w, b), (grad_w, grad_b), act in zip(
@@ -131,7 +138,7 @@ class Network:
         return self.layers[-1].weights.shape[0]
 
     def _as_batch(self, x) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x, dtype=self.params.dtype)
         single = arr.ndim == 1
         if single:
             arr = arr[None, :]
@@ -174,12 +181,6 @@ class Network:
 # Losses and gradients
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _check_loss(loss: str) -> None:
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
@@ -193,7 +194,7 @@ def _loss_and_output_grad(scored: np.ndarray, targets, loss: str):
     if n == 0:
         raise ValueError("empty batch")
     if loss == "mse":
-        target = np.atleast_2d(np.asarray(targets, dtype=float))
+        target = np.atleast_2d(np.asarray(targets, dtype=scored.dtype))
         if target.shape != scored.shape:
             raise ValueError("mse targets must match the output shape")
         diff = scored - target
@@ -204,10 +205,15 @@ def _loss_and_output_grad(scored: np.ndarray, targets, loss: str):
         raise ValueError("one class index per batch row required")
     if labels.min() < 0 or labels.max() >= scored.shape[1]:
         raise ValueError("class index out of range")
-    probs = _softmax(scored)
-    value = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-    out_grad = probs.copy()
-    out_grad[np.arange(n), labels] -= 1.0
+    # log-sum-exp: -log softmax(z)[y] = log(sum(exp(z - max))) - (z - max)[y],
+    # finite even where the label's probability underflows to 0
+    rows = np.arange(n)
+    shifted = scored - scored.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    value = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
+    out_grad = exp / total
+    out_grad[rows, labels] -= 1.0
     out_grad /= n
     return value, out_grad
 
@@ -308,7 +314,7 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState):
     p, eg, ed = (a.reshape(-1) for a in updated)
     g = np.ravel(grad)
     size = min(p.size, ADADELTA_BLOCK)
-    step, scratch = np.empty(size), np.empty(size)
+    step, scratch = np.empty(size, p.dtype), np.empty(size, p.dtype)
     for lo in range(0, p.size, ADADELTA_BLOCK):
         g_b = g[lo:lo + ADADELTA_BLOCK]
         eg_b = eg[lo:lo + ADADELTA_BLOCK]
@@ -349,9 +355,9 @@ def train_step(net: Network, batch_inputs, batch_targets, loss: str,
 def extend_output_layer(net: Network, rng=None) -> Network:
     """Grow the output layer by one unit.
 
-    Both buffers are reallocated. Layers below the top keep their
-    parameters; the whole final layer is reinitialized (a retrain always
-    follows an extension).
+    Both buffers are reallocated in the network's dtype. Layers below the
+    top keep their parameters; the whole final layer is reinitialized (a
+    retrain always follows an extension).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -359,7 +365,7 @@ def extend_output_layer(net: Network, rng=None) -> Network:
     sizes[-1] += 1
     old, last = net.params, net.layers[-1]
     kept = old.size - last.weights.size - last.bias.size
-    net._allocate(sizes, [l.activation for l in net.layers])
+    net._allocate(sizes, [l.activation for l in net.layers], old.dtype)
     net.params[:kept] = old[:kept]
     _init_layer(net.layers[-1], rng)
     return net

@@ -128,7 +128,7 @@ def test_historical_sample_ceils_small_fractions():
 
 
 class StubDiscriminator:
-    """Maps each input row through a fixed function to per-class scores."""
+    """Maps each input row through a fixed function to per-class logits."""
 
     def __init__(self, id_of_row, n_out):
         self.id_of_row = id_of_row
@@ -138,7 +138,7 @@ class StubDiscriminator:
     def output_size(self):
         return self.n_out
 
-    def forward(self, batch):
+    def logits(self, batch):
         out = np.zeros((len(batch), self.n_out))
         for i, row in enumerate(batch):
             out[i, self.id_of_row(row)] = 1.0
@@ -148,8 +148,23 @@ class StubDiscriminator:
 def test_classify_batch_ties_resolve_to_lowest_id():
     stub = StubDiscriminator(lambda row: 0, 3)
     ties = np.zeros((2, 3))  # all-equal scores
-    stub.forward = lambda batch: np.ones((len(batch), 3))
+    stub.logits = lambda batch: np.ones((len(batch), 3))
     assert classify_batch(stub, ties) == [0, 0]
+
+
+@pytest.mark.parametrize("dtype, low, high", [
+    (np.float64, 40.0, 45.0),
+    (np.float32, 20.0, 25.0),
+])
+def test_classify_batch_takes_the_argmax_of_the_logits(dtype, low, high):
+    # the sigmoid rounds both logits to 1.0, so an argmax over the
+    # outputs ties and returns id 0
+    net = Network([2, 2], ["sigmoid"], dtype=dtype)
+    net.layers[0].weights[...] = np.eye(2)
+    net.layers[0].bias[...] = 0.0
+    batch = np.array([[low, high], [high, low]])
+    assert np.all(net.forward(batch) == 1.0)
+    assert classify_batch(net, batch) == [1, 0]
 
 
 def detector_with_stub(id_of_row, n_registered=2, current=1):
@@ -287,8 +302,8 @@ def test_no_drift_batch_forwards_only_the_head():
     head = classify_batch(net, batch[:CONSENSUS_HEAD])
     assert head[0] != 1 and len(set(head)) > 1  # a disagreeing head
     rows = []
-    forward = net.forward
-    net.forward = lambda x: rows.append(len(x)) or forward(x)
+    logits = net.logits
+    net.logits = lambda x: rows.append(len(x)) or logits(x)
     det.discriminator = net
     assert det.detect(batch, 199) is None
     assert rows == [CONSENSUS_HEAD]

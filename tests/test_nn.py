@@ -224,6 +224,51 @@ def test_cross_entropy_value_oracle():
     assert abs(value - expected) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cross_entropy_is_finite_where_the_label_probability_underflows(dtype):
+    # softmax([0, 1000])[0] = exp(-1000) is 0 in either dtype; the loss
+    # is exactly 1000 and the gradient pushes the logits apart by 1
+    net = Network([2, 2], ["linear"], dtype=dtype)
+    net.layers[0].weights[...] = np.eye(2)
+    net.layers[0].bias[...] = 0.0
+    x = np.array([[0.0, 1000.0]])
+    value, grads, input_grad = loss_gradients(net, x, [0], "cross_entropy")
+    assert value == 1000.0
+    assert batch_loss(net, x, [0], "cross_entropy") == 1000.0
+    assert np.array_equal(input_grad, [[-1.0, 1.0]])
+    assert all(np.all(np.isfinite(g)) for pair in grads for g in pair)
+
+
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_float32_network_keeps_every_array_float32(loss):
+    f32 = np.float32
+    net = Network([3, 6, 4], ["relu", "sigmoid"], np.random.default_rng(2),
+                  dtype=f32)
+    assert net.params.dtype == net.grads.dtype == f32
+    rng = np.random.default_rng(3)
+    inputs = rng.normal(size=(5, 3))  # float64 in, cast by the network
+    targets = _targets(loss, rng, 5, 4)
+    assert net.forward(inputs).dtype == f32
+    assert net.forward(inputs[0]).dtype == f32
+    assert net.logits(inputs).dtype == f32
+    assert all(a.dtype == f32 for part in net.forward_cached(inputs)
+               for a in part)
+    value, grads, input_grad = loss_gradients(net, inputs, targets, loss)
+    assert np.isfinite(value)
+    assert value == batch_loss(net, inputs, targets, loss)
+    assert all(g.dtype == f32 for pair in grads for g in pair)
+    assert input_grad.dtype == f32
+    state = AdadeltaState.for_param(net.params)
+    apply_gradients(net, state)
+    for a in (net.params, net.grads, state.avg_sq_grad, state.avg_sq_delta):
+        assert a.dtype == f32
+    extend_output_layer(net, np.random.default_rng(4))
+    assert net.params.dtype == net.grads.dtype == f32
+    assert all(a.dtype == f32 for l in net.layers
+               for a in (l.weights, l.bias, l.grad_weights, l.grad_bias))
+    assert net.forward(inputs).dtype == f32
+
+
 # -- Adadelta ---------------------------------------------------------------
 
 
@@ -239,19 +284,26 @@ def reference_adadelta_update(param, grad, state):
     return param
 
 
-@pytest.mark.parametrize("shape", [(3 * ADADELTA_BLOCK + 17,), (7, 5), (1,)])
-def test_blocked_adadelta_matches_reference_bit_for_bit(shape):
+@pytest.mark.parametrize("shape, dtype", [
+    ((3 * ADADELTA_BLOCK + 17,), np.float64),
+    ((7, 5), np.float64),
+    ((1,), np.float64),
+    ((3 * ADADELTA_BLOCK + 17,), np.float32),
+], ids=["shape0", "shape1", "shape2", "float32"])
+def test_blocked_adadelta_matches_reference_bit_for_bit(shape, dtype):
     rng = np.random.default_rng(12)
-    param = rng.normal(size=shape)
+    param = rng.normal(size=shape).astype(dtype)
     expected = param.copy()
     state = AdadeltaState.for_param(param, epsilon=1e-4)
     expected_state = AdadeltaState.for_param(expected, epsilon=1e-4)
     for _ in range(6):
         # gradients spread over many magnitudes, zeros among them
         grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 3, size=shape)
+        grad = grad.astype(dtype)
         grad[rng.random(size=shape) < 0.05] = 0.0
         assert adadelta_update(param, grad, state) is param
         reference_adadelta_update(expected, grad, expected_state)
+    assert param.dtype == state.avg_sq_delta.dtype == dtype
     assert np.array_equal(param, expected)
     assert np.array_equal(state.avg_sq_grad, expected_state.avg_sq_grad)
     assert np.array_equal(state.avg_sq_delta, expected_state.avg_sq_delta)
