@@ -13,6 +13,11 @@ matmuls and its Adadelta pass cost about half of float64's. The
 detector decides on the discriminator's logits, which float32 keeps
 apart long after the sigmoid outputs have rounded to 1.
 
+``DetectorConfig`` holds the settings a caller chooses. The GAN's tuning
+(``GAN_MINIBATCH``, ``ADADELTA_EPSILON``, ``DISC_STEPS``, ``CE_GRAD_CLIP``,
+``PROBE_RADIUS_SCALE``, ``REAL_JITTER_SCALE``) is fixed in module
+constants beside the network widths.
+
 Nearly every batch of a stream is not a drift, and any row on the
 current id or any two rows that disagree settle that. So ``detect``
 classifies the first ``CONSENSUS_HEAD`` rows of a batch first and the
@@ -27,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn import (
     AdadeltaState,
@@ -45,6 +51,12 @@ log = logging.getLogger("driftbench.detector")
 GENERATOR_HIDDEN = (128, 4096)
 DISCRIMINATOR_HIDDEN = (1024, 1024)
 NETWORK_DTYPE = np.float32
+GAN_MINIBATCH = 16       # sequences per generator update
+ADADELTA_EPSILON = 1e-4  # both networks' Adadelta epsilon
+DISC_STEPS = 3           # discriminator updates per generator update
+CE_GRAD_CLIP = 0.5       # CE grad norm cap, relative to the MSE grad
+PROBE_RADIUS_SCALE = 6.0  # probe keep-out, in mean NN distances
+REAL_JITTER_SCALE = 2.5   # window-vector jitter, in mean NN distances
 
 
 @dataclass
@@ -55,14 +67,8 @@ class DetectorConfig:
     historical_fraction: float = 1.0   # share of stored data reused on recurrence
     per_dist_cap: int = 10000          # stored exemplars per distribution
     seed: int = 0
-    gan_minibatch: int = 16
     gan_max_epochs: int = 200
     disc_loss_threshold: float = 0.1
-    gan_adadelta_epsilon: float = 1e-4
-    disc_steps: int = 3            # discriminator updates per generator update
-    ce_grad_clip: float = 0.5      # CE grad norm cap, relative to the MSE grad
-    probe_radius_scale: float = 6.0  # probe keep-out, in mean NN distances
-    real_jitter_scale: float = 2.5   # window-vector jitter, in mean NN distances
 
     def validate(self) -> None:
         if self.rho < self.seq_len + 1:
@@ -75,8 +81,6 @@ class DetectorConfig:
             raise ValueError("seq_len must be >= 1")
         if self.per_dist_cap < 1:
             raise ValueError("per_dist_cap must be >= 1")
-        if self.disc_steps < 1:
-            raise ValueError("disc_steps must be >= 1")
 
 
 @dataclass
@@ -157,23 +161,26 @@ def classify_batch(discriminator: Network, batch) -> list[int]:
 
 
 def _sequence_dataset(registry: DistributionRegistry, seq_len: int):
-    """Sliding sequences within each record's window (never across records)."""
-    seqs, nexts, ids = [], [], []
-    for record in registry.records:
-        window = record.raw_window
-        for i in range(len(window) - seq_len):
-            seqs.append(np.concatenate(window[i:i + seq_len]))
-            nexts.append(window[i + seq_len])
-            ids.append(record.dist_id)
-    return np.array(seqs), np.array(nexts), np.array(ids)
+    """Sliding sequences within each record's window (never across
+    records): each ``seq_len`` consecutive vectors, flattened, the vector
+    after them, and the record's id."""
+    windows = [record.raw_window for record in registry.records]
+    d = windows[0].shape[1]
+    seqs = np.concatenate([
+        sliding_window_view(w, (seq_len, d))[:-1, 0].reshape(-1, seq_len * d)
+        for w in windows])
+    nexts = np.concatenate([w[seq_len:] for w in windows])
+    ids = np.repeat([record.dist_id for record in registry.records],
+                    [len(w) - seq_len for w in windows])
+    return seqs, nexts, ids
 
 
 def _real_dataset(registry: DistributionRegistry):
-    vecs, ids = [], []
-    for record in registry.records:
-        vecs.extend(record.raw_window)
-        ids.extend([record.dist_id] * len(record.raw_window))
-    return np.array(vecs), np.array(ids)
+    """Every stored window vector and its record's id."""
+    windows = [record.raw_window for record in registry.records]
+    ids = np.repeat([record.dist_id for record in registry.records],
+                    [len(w) for w in windows])
+    return np.concatenate(windows), ids
 
 
 def train_gan(registry: DistributionRegistry, config: DetectorConfig, rng,
@@ -181,16 +188,26 @@ def train_gan(registry: DistributionRegistry, config: DetectorConfig, rng,
               discriminator: Network | None = None):
     """Train a generator/discriminator pair on every stored window.
 
-    Compatible existing networks (e.g. a discriminator whose output layer
-    was just extended) continue training in place; otherwise fresh networks
-    are built. On a divergent loss the pair is rebuilt and trained once
-    more from a fresh initialization; a second divergence is a hard error.
+    Without a pair, a fresh one is built. A given pair continues training
+    in place; its widths must fit the registry (a discriminator with one
+    output per stored window plus the unseen class, e.g. just extended by
+    ``extend_output_layer``), or this raises ``ValueError``. On a
+    divergent loss the pair is rebuilt and trained once more from a fresh
+    initialization; a second divergence is a hard error.
     """
     if len(registry) == 0:
         raise ValueError("registry is empty")
     for record in registry.records:
         if len(record.raw_window) < config.seq_len + 1:
             raise ValueError("every stored window needs at least seq_len + 1 vectors")
+    if generator is not None or discriminator is not None:
+        d = registry.records[0].raw_window.shape[1]
+        widths = (config.seq_len * d, d, d, 1 + len(registry))
+        if generator is None or discriminator is None or widths != (
+                generator.input_size, generator.output_size,
+                discriminator.input_size, discriminator.output_size):
+            raise ValueError("the generator/discriminator pair does not fit "
+                             f"the registry: widths {widths} needed")
     last_error = None
     for attempt in range(2):
         try:
@@ -260,34 +277,31 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
     # where they are stacked into a discriminator's input.
     seqs, nexts = seqs.astype(NETWORK_DTYPE), nexts.astype(NETWORK_DTYPE)
     d = real_vecs.shape[1]
-    n_out = 1 + len(registry)
 
-    if generator is None or generator.input_size != config.seq_len * d:
+    if generator is None:  # train_gan has checked a given pair's widths
         generator = Network(
             [config.seq_len * d, *GENERATOR_HIDDEN, d],
             ["relu", "relu", "linear"], rng, NETWORK_DTYPE,
         )
-    if (discriminator is None or discriminator.input_size != d
-            or discriminator.output_size != n_out):
         discriminator = Network(
-            [d, *DISCRIMINATOR_HIDDEN, n_out],
+            [d, *DISCRIMINATOR_HIDDEN, 1 + len(registry)],
             ["relu", "relu", "sigmoid"], rng, NETWORK_DTYPE,
         )
     gen_opt = AdadeltaState.for_param(generator.params,
-                                      epsilon=config.gan_adadelta_epsilon)
+                                      epsilon=ADADELTA_EPSILON)
     disc_opt = AdadeltaState.for_param(discriminator.params,
-                                       epsilon=config.gan_adadelta_epsilon)
+                                       epsilon=ADADELTA_EPSILON)
 
     # probe rejection radius: a multiple of the mean nearest-neighbour
     # distance among the real vectors, so probes stay clear of regions a
     # fresh draw from a seen distribution could plausibly land in
     nn_dist = float(
         _nearest_distances(real_vecs, real_vecs, skip_self=True).mean())
-    probe_radius = config.probe_radius_scale * nn_dist
-    jitter = config.real_jitter_scale * nn_dist
+    probe_radius = PROBE_RADIUS_SCALE * nn_dist
+    jitter = REAL_JITTER_SCALE * nn_dist
 
     n_seq = seqs.shape[0]
-    mb = min(config.gan_minibatch, n_seq)
+    mb = min(GAN_MINIBATCH, n_seq)
     epoch_loss = float("inf")
     for epoch in range(config.gan_max_epochs):
         order = rng.permutation(n_seq)
@@ -307,7 +321,7 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
             # of the stored window stand in for fresh draws from the same
             # distribution, widening each class region past the exact
             # training points.
-            for _ in range(config.disc_steps):
+            for _ in range(DISC_STEPS):
                 real_take = rng.choice(
                     real_vecs.shape[0],
                     size=min(2 * len(take), real_vecs.shape[0]),
@@ -339,8 +353,8 @@ def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
             )
             mse_norm = float(np.linalg.norm(mse_grad))
             ce_norm = float(np.linalg.norm(ce_grad))
-            if ce_norm > config.ce_grad_clip * mse_norm and ce_norm > 0.0:
-                ce_grad = ce_grad * (config.ce_grad_clip * mse_norm / ce_norm)
+            if ce_norm > CE_GRAD_CLIP * mse_norm and ce_norm > 0.0:
+                ce_grad = ce_grad * (CE_GRAD_CLIP * mse_norm / ce_norm)
             mse_value = float(np.mean((fake - next_batch) ** 2))
             gen_loss = mse_value + ce_value
             if not np.isfinite(gen_loss):
@@ -394,10 +408,6 @@ class DriftGanDetector:
         self._pending_window = None  # standardized start of a new window
         self.instances_seen = 0
         self.events: list[DriftEvent] = []
-
-    @property
-    def current(self) -> int:
-        return self.registry.current
 
     def get_params(self) -> dict:
         return dict(self.config.__dict__)

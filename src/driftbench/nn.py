@@ -150,11 +150,7 @@ class Network:
 
     def forward(self, x) -> np.ndarray:
         """Activations of the final layer for a vector or a batch."""
-        batch, single = self._as_batch(x)
-        out = batch
-        for layer in self.layers:
-            out = _activate(out @ layer.weights.T + layer.bias, layer.activation)
-        return out[0] if single else out
+        return _activate(self.logits(x), self.layers[-1].activation)
 
     def forward_cached(self, x):
         """Forward pass keeping per-layer pre/post activations for backprop."""

@@ -156,8 +156,6 @@ def make_strategy(kind: str, n_features: int, n_classes: int, *, rho: int = 100,
                   retrain_interval: int | None = None,
                   config: DetectorConfig | None = None) -> Strategy:
     if kind == "driftgan":
-        if config is None:
-            config = DetectorConfig(rho=rho)
         return DriftGanStrategy(n_features, n_classes, rho, config)
     if kind == "initial_learn":
         return InitialLearnStrategy(n_features, n_classes, rho)

@@ -235,22 +235,6 @@ class GaussianConcept:
         return feats, labels
 
 
-@dataclass
-class LinearRuleConcept:
-    """Features around a center; label = 1 when weights . x + bias > 0."""
-
-    center: np.ndarray
-    weights: np.ndarray
-    bias: float = 0.0
-    noise: float = 1.0
-
-    def sample(self, rng, n):
-        center = np.asarray(self.center, dtype=float)
-        feats = center + rng.normal(0.0, self.noise, size=(n, center.shape[0]))
-        labels = (feats @ np.asarray(self.weights, dtype=float) + self.bias > 0)
-        return feats, labels.astype(int)
-
-
 def default_concepts(d: int = 4, noise: float = 0.5) -> dict:
     """Built-in concept bank A..D used by the CLI and the test suites.
 

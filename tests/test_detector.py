@@ -13,11 +13,13 @@ from driftbench.detector import (
     DetectorConfig,
     DistributionRegistry,
     DriftGanDetector,
+    _real_dataset,
+    _sequence_dataset,
     classify_batch,
     standardize,
     train_gan,
 )
-from driftbench.nn import Network
+from driftbench.nn import Network, extend_output_layer
 from driftbench.streams import default_concepts
 
 
@@ -332,8 +334,6 @@ def test_config_validation():
         DetectorConfig(historical_fraction=1.5).validate()
     with pytest.raises(ValueError):
         DetectorConfig(per_dist_cap=0).validate()
-    with pytest.raises(ValueError):
-        DetectorConfig(disc_steps=0).validate()
 
 
 # -- GAN training (single-seed smoke; the full audit runs in acceptance) ------
@@ -382,6 +382,63 @@ def test_train_gan_warns_when_epochs_run_out(caplog):
     [record] = caplog.records
     assert record.levelno == logging.WARNING
     assert "gan_max_epochs=1" in record.getMessage()
+
+
+def loop_sequence_dataset(registry, seq_len):
+    """Row-by-row reference for _sequence_dataset."""
+    seqs, nexts, ids = [], [], []
+    for record in registry.records:
+        window = record.raw_window
+        for i in range(len(window) - seq_len):
+            seqs.append(np.concatenate(window[i:i + seq_len]))
+            nexts.append(window[i + seq_len])
+            ids.append(record.dist_id)
+    return np.array(seqs), np.array(nexts), np.array(ids)
+
+
+def loop_real_dataset(registry):
+    """Row-by-row reference for _real_dataset."""
+    vecs, ids = [], []
+    for record in registry.records:
+        vecs.extend(record.raw_window)
+        ids.extend([record.dist_id] * len(record.raw_window))
+    return np.array(vecs), np.array(ids)
+
+
+@pytest.mark.parametrize("lengths, d, seq_len", [
+    ([100], 4, 4),
+    ([100] * 4, 4, 4),
+    ([10] * 3, 7, 3),
+    ([20] * 5, 12, 1),
+    ([30, 5, 12], 3, 4),  # an initial window may be longer than rho
+])
+def test_training_arrays_match_the_row_by_row_reference(lengths, d, seq_len):
+    rng = np.random.default_rng(len(lengths))
+    registry = DistributionRegistry(10)
+    for n in lengths:
+        registry.add(standardize(rng.normal(size=(n, d))))
+    got = _sequence_dataset(registry, seq_len) + _real_dataset(registry)
+    want = loop_sequence_dataset(registry, seq_len) + loop_real_dataset(registry)
+    for array, reference in zip(got, want):
+        assert array.dtype == reference.dtype
+        assert np.array_equal(array, reference)
+
+
+def test_train_gan_continues_a_fitting_pair_and_rejects_one_that_does_not():
+    config = DetectorConfig(rho=20, gan_max_epochs=1)
+    registry = DistributionRegistry(config.per_dist_cap)
+    rng = np.random.default_rng(0)
+    registry.add(concept_window("A", seed=0, n=config.rho))
+    generator, discriminator = train_gan(registry, config, rng)
+    registry.add(concept_window("B", seed=1, n=config.rho))
+    # the discriminator was not extended for the second window
+    with pytest.raises(ValueError):
+        train_gan(registry, config, rng, generator, discriminator)
+    with pytest.raises(ValueError):
+        train_gan(registry, config, rng, generator)
+    extend_output_layer(discriminator, rng)
+    pair = train_gan(registry, config, rng, generator, discriminator)
+    assert pair[0] is generator and pair[1] is discriminator
 
 
 def test_train_gan_rejects_empty_or_short_registry():

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from driftbench.nn import (
+    ACTIVATIONS,
     ADADELTA_BLOCK,
     AdadeltaState,
     Network,
     TrainingDivergedError,
+    _activate,
     adadelta_update,
     apply_gradients,
     batch_loss,
@@ -56,14 +58,17 @@ def test_forward_batch_matches_single():
     assert np.allclose(net.forward(batch), rows)
 
 
-def test_sigmoid_argmax_matches_logits_argmax():
-    net = small_net([3, 8, 5], ["relu", "sigmoid"], seed=3)
-    rng = np.random.default_rng(2)
-    batch = rng.normal(size=(32, 3))
-    assert np.array_equal(
-        np.argmax(net.forward(batch), axis=1),
-        np.argmax(net.logits(batch), axis=1),
-    )
+def test_forward_is_the_activation_of_the_logits():
+    batch = np.random.default_rng(2).normal(size=(32, 3))
+    for dtype in (np.float64, np.float32):
+        for activation in ACTIVATIONS:
+            net = Network([3, 8, 5], ["relu", activation],
+                          np.random.default_rng(3), dtype)
+            for x in (batch, batch[0]):
+                out = net.forward(x)
+                assert out.dtype == dtype
+                assert out.shape == x.shape[:-1] + (5,)
+                assert np.array_equal(out, _activate(net.logits(x), activation))
 
 
 def test_forward_rejects_wrong_width():
