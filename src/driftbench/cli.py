@@ -174,6 +174,8 @@ def cmd_compare(args) -> int:
             raise UsageError(
                 f"unknown strategy {kind!r}; choose from {STRATEGY_KINDS}"
             )
+    if args.max_instances is not None and args.max_instances < 1:
+        raise UsageError("--max-instances must be at least 1")
     instances, meta = streams.load(args.dataset, args.format, args.max_instances)
     meta = _load_ground_truth(args, meta)
     config = _detector_config(args)

@@ -111,9 +111,7 @@ class DriftGanStrategy(Strategy):
 
     kind = "driftgan"
 
-    def __init__(self, n_features, n_classes, rho=100,
-                 config: DetectorConfig | None = None):
-        config = config or DetectorConfig(rho=rho)
+    def __init__(self, n_features, n_classes, config: DetectorConfig):
         super().__init__(n_features, n_classes, config.rho)
         self.detector = DriftGanDetector(config)
         self._recent: deque = deque(maxlen=config.batch_size)
@@ -156,7 +154,11 @@ def make_strategy(kind: str, n_features: int, n_classes: int, *, rho: int = 100,
                   retrain_interval: int | None = None,
                   config: DetectorConfig | None = None) -> Strategy:
     if kind == "driftgan":
-        return DriftGanStrategy(n_features, n_classes, rho, config)
+        if config is None:
+            config = DetectorConfig(rho=rho)
+        elif config.rho != rho:
+            raise ValueError(f"rho={rho} differs from the config's rho={config.rho}")
+        return DriftGanStrategy(n_features, n_classes, config)
     if kind == "initial_learn":
         return InitialLearnStrategy(n_features, n_classes, rho)
     if kind == "regular_update":

@@ -2,8 +2,22 @@
 
 File conventions: CSV has a header row and the label in the last column;
 ARFF supports the @relation/@attribute/@data subset with numeric and
-nominal attributes only. Missing values are a hard error, silent
-imputation would corrupt the drift statistics downstream.
+nominal attributes only, the last attribute being the label. Both
+formats share one set of data-row rules:
+
+- every row has one value per column, and blank rows are skipped;
+- a missing value (``""`` or ``?``) is a hard error: silent imputation
+  would corrupt the drift statistics downstream;
+- a nominal feature's values are encoded 0, 1, ... by first appearance.
+  ARFF declares which attributes are nominal; in CSV, a feature column
+  is nominal when its first row's value is not a number;
+- labels that are all integers are densified by sorted value (7, 3, 7
+  becomes 1, 0, 1); any other labels are encoded by first appearance;
+- ARFF strips one layer of quotes from every value, so ``'red'`` and
+  ``red`` are the same value. CSV values are taken as ``csv`` reads them.
+
+Every stream, loaded or synthetic, is a list of instances over the rows
+of one float64 ``(n, d)`` feature matrix.
 """
 
 from __future__ import annotations
@@ -11,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -36,160 +51,118 @@ class StreamMetadata:
     segment_concepts: list[str] = field(default_factory=list)
 
 
-def _encode(value: str, mapping: dict) -> int:
-    if value not in mapping:
-        mapping[value] = len(mapping)
-    return mapping[value]
+def _instances(features: np.ndarray, labels) -> list[LabeledInstance]:
+    """One instance per row of the ``(n, d)`` feature matrix."""
+    return [LabeledInstance(x, int(y), i)
+            for i, (x, y) in enumerate(zip(features, labels))]
 
 
-def _finish_labels(rows, label_tokens):
-    """Integer label tokens are taken verbatim (densified by sorted value);
-    anything else is encoded by first appearance."""
+def _is_number(token: str) -> bool:
     try:
-        ints = [int(tok) for tok in label_tokens]
+        float(token)
     except ValueError:
-        mapping: dict = {}
-        encoded = [_encode(tok, mapping) for tok in label_tokens]
-        alphabet = list(mapping)
-    else:
-        alphabet = sorted(set(ints))
-        index = {v: i for i, v in enumerate(alphabet)}
-        encoded = [index[v] for v in ints]
-    instances = [
-        LabeledInstance(np.array(feats, dtype=float), lab, i)
-        for i, (feats, lab) in enumerate(zip(rows, encoded))
-    ]
-    return instances, alphabet
+        return False
+    return True
 
 
-def _parse_row(tokens, numeric_cols, nominal_maps, line_no):
-    feats = []
-    for col, tok in enumerate(tokens[:-1]):
-        tok = tok.strip()
-        if tok in ("", "?"):
-            raise StreamFormatError(f"line {line_no}: missing value")
-        if numeric_cols[col]:
+def _read_rows(rows, arity, nominal, max_instances):
+    """Apply the data-row rules to ``(line_no, tokens)`` rows.
+
+    ``nominal`` holds one flag per column; when it is None, the flags
+    are inferred from the first row. Reading stops after
+    ``max_instances`` rows.
+    """
+    if max_instances is not None and max_instances < 1:
+        raise ValueError("max_instances must be at least 1")
+    if arity < 2:
+        raise StreamFormatError("need at least one feature and a label column")
+    codes = [{} for _ in range(arity)]  # per nominal column: value -> code
+    feats, label_tokens = [], []
+    for line_no, tokens in rows:
+        if len(tokens) != arity:
+            raise StreamFormatError(
+                f"line {line_no}: expected {arity} values, got {len(tokens)}"
+            )
+        if nominal is None:
+            nominal = [not _is_number(tok) for tok in tokens]
+        row = []
+        for col, tok in enumerate(tokens[:-1]):
+            tok = tok.strip()
+            if tok in ("", "?"):
+                raise StreamFormatError(f"line {line_no}: missing value")
+            if nominal[col]:
+                row.append(float(codes[col].setdefault(tok, len(codes[col]))))
+                continue
             try:
-                feats.append(float(tok))
+                row.append(float(tok))
             except ValueError:
                 raise StreamFormatError(
                     f"line {line_no}: expected numeric value in column {col}, "
                     f"got {tok!r}"
                 ) from None
-        else:
-            feats.append(float(_encode(tok, nominal_maps[col])))
-    return feats
+        feats.append(row)
+        label_tokens.append(tokens[-1].strip())
+        if len(feats) == max_instances:
+            break
+    if not feats:
+        raise StreamFormatError("no data rows")
+    try:
+        keys = [int(tok) for tok in label_tokens]
+    except ValueError:
+        keys = label_tokens
+        alphabet = list(dict.fromkeys(keys))
+    else:
+        alphabet = sorted(set(keys))
+    label_code = {key: i for i, key in enumerate(alphabet)}
+    features = np.array(feats, dtype=float)
+    instances = _instances(features, [label_code[key] for key in keys])
+    return instances, StreamMetadata(features.shape[1], alphabet, len(instances))
 
 
 def load_csv(path, max_instances=None):
     """Load a header-ed CSV whose last column is the label."""
-    path = Path(path)
-    rows, label_tokens = [], []
-    numeric_cols = None
-    nominal_maps: dict[int, dict] = {}
-    with path.open(newline="") as handle:
+    with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StreamFormatError("empty file") from None
-        arity = len(header)
-        if arity < 2:
-            raise StreamFormatError("need at least one feature and a label column")
-        for line_no, tokens in enumerate(reader, start=2):
-            if not tokens:
-                continue
-            if len(tokens) != arity:
-                raise StreamFormatError(
-                    f"line {line_no}: expected {arity} columns, got {len(tokens)}"
-                )
-            if numeric_cols is None:
-                numeric_cols = []
-                for col, tok in enumerate(tokens[:-1]):
-                    try:
-                        float(tok)
-                        numeric_cols.append(True)
-                    except ValueError:
-                        numeric_cols.append(False)
-                        nominal_maps[col] = {}
-            rows.append(_parse_row(tokens, numeric_cols, nominal_maps, line_no))
-            label_tokens.append(tokens[-1].strip())
-            if max_instances is not None and len(rows) >= max_instances:
-                break
-    if not rows:
-        raise StreamFormatError("no data rows")
-    instances, alphabet = _finish_labels(rows, label_tokens)
-    meta = StreamMetadata(len(rows[0]), alphabet, len(instances))
-    return instances, meta
+        header = next(reader, None)
+        if header is None:
+            raise StreamFormatError("empty file")
+        rows = ((n, tokens) for n, tokens in enumerate(reader, start=2) if tokens)
+        return _read_rows(rows, len(header), None, max_instances)
+
+
+def _unquote(token: str) -> str:
+    token = token.strip()
+    if len(token) > 1 and token[0] == token[-1] and token[0] in "'\"":
+        return token[1:-1]
+    return token
 
 
 def load_arff(path, max_instances=None):
     """Load the numeric/nominal subset of ARFF; the last attribute is the label."""
-    path = Path(path)
-    attributes = []  # (name, "numeric" | list-of-values)
-    rows, label_tokens = [], []
-    in_data = False
-    nominal_maps: dict[int, dict] = {}
-    with path.open() as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            if not in_data:
-                lower = line.lower()
-                if lower.startswith("@relation"):
-                    continue
-                if lower.startswith("@attribute"):
-                    rest = line[len("@attribute"):].strip()
-                    if rest.startswith("{") or "{" not in rest:
-                        name, spec = "", rest
-                    else:
-                        name, spec = rest.split("{", 1)
-                        spec = "{" + spec
-                    if spec.strip().startswith("{"):
-                        values = [
-                            v.strip().strip("'\"")
-                            for v in spec.strip().strip("{}").split(",")
-                        ]
-                        attributes.append(values)
-                    else:
-                        kind = rest.split()[-1].lower()
-                        if kind in ("numeric", "real", "integer"):
-                            attributes.append("numeric")
-                        else:
-                            raise StreamFormatError(
-                                f"line {line_no}: unsupported attribute type {kind!r}"
-                            )
-                    continue
-                if lower.startswith("@data"):
-                    if len(attributes) < 2:
-                        raise StreamFormatError(
-                            "need at least one feature attribute and a label"
-                        )
-                    numeric_cols = [a == "numeric" for a in attributes[:-1]]
-                    for col, flag in enumerate(numeric_cols):
-                        if not flag:
-                            nominal_maps[col] = {}
-                    in_data = True
-                    continue
-                raise StreamFormatError(f"line {line_no}: unexpected {line!r}")
-            tokens = next(csv.reader([line]))
-            if len(tokens) != len(attributes):
-                raise StreamFormatError(
-                    f"line {line_no}: expected {len(attributes)} values, "
-                    f"got {len(tokens)}"
-                )
-            rows.append(_parse_row(tokens, numeric_cols, nominal_maps, line_no))
-            label_tokens.append(tokens[-1].strip().strip("'\""))
-            if max_instances is not None and len(rows) >= max_instances:
+    nominal = []  # one flag per @attribute
+    with Path(path).open() as handle:
+        lines = ((n, line) for n, line in enumerate(map(str.strip, handle), start=1)
+                 if line and not line.startswith("%"))
+        for line_no, line in lines:
+            lower = line.lower()
+            if lower.startswith("@data"):
                 break
-    if not in_data:
-        raise StreamFormatError("missing @data section")
-    if not rows:
-        raise StreamFormatError("no data rows")
-    instances, alphabet = _finish_labels(rows, label_tokens)
-    meta = StreamMetadata(len(rows[0]), alphabet, len(instances))
-    return instances, meta
+            if lower.startswith("@attribute"):
+                spec = line[len("@attribute"):]
+                kind = (spec.split() or [""])[-1].lower()
+                if "{" in spec or kind in ("numeric", "real", "integer"):
+                    nominal.append("{" in spec)
+                else:
+                    raise StreamFormatError(
+                        f"line {line_no}: unsupported attribute type {kind!r}"
+                    )
+            elif not lower.startswith("@relation"):
+                raise StreamFormatError(f"line {line_no}: unexpected {line!r}")
+        else:
+            raise StreamFormatError("missing @data section")
+        rows = ((n, [_unquote(tok) for tok in next(csv.reader([line]))])
+                for n, line in lines)
+        return _read_rows(rows, len(nominal), nominal, max_instances)
 
 
 def load(path, fmt="auto", max_instances=None):
@@ -281,21 +254,15 @@ def synth_recurring(spec: SyntheticSpec, seed: int):
     """Generate the stream plus ground truth (change points, segment ids)."""
     spec.validate()
     rng = np.random.default_rng(seed)
-    instances = []
-    change_points = []
-    offset = 0
-    for name, length in zip(spec.order, spec.segment_lengths):
-        feats, labels = spec.concepts[name].sample(rng, length)
-        for i in range(length):
-            instances.append(LabeledInstance(feats[i], int(labels[i]), offset + i))
-        offset += length
-        change_points.append(offset)
-    change_points = change_points[:-1]  # the stream end is not a change point
-    d = len(instances[0].features)
-    labels_seen = sorted({inst.label for inst in instances})
-    meta = StreamMetadata(d, labels_seen, len(instances),
-                          change_points, list(spec.order))
-    return instances, meta
+    segments = [spec.concepts[name].sample(rng, length)
+                for name, length in zip(spec.order, spec.segment_lengths)]
+    features = np.concatenate([x for x, _ in segments], dtype=float)
+    labels = np.concatenate([y for _, y in segments])
+    # the stream end is not a change point
+    change_points = list(accumulate(spec.segment_lengths))[:-1]
+    meta = StreamMetadata(features.shape[1], sorted(set(labels.tolist())),
+                          len(labels), change_points, list(spec.order))
+    return _instances(features, labels), meta
 
 
 def write_ground_truth(meta: StreamMetadata, path) -> None:

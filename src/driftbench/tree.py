@@ -12,6 +12,11 @@ import math
 
 import numpy as np
 
+GRACE_PERIOD = 200        # instances a leaf sees between split evaluations
+SPLIT_CONFIDENCE = 1e-7   # delta of the Hoeffding bound
+TIE_THRESHOLD = 0.05      # split anyway once the bound is this tight
+N_SPLIT_POINTS = 10       # candidate thresholds per feature
+
 
 def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
     """Confidence radius sqrt(R^2 * ln(1/delta) / (2n))."""
@@ -102,35 +107,19 @@ class _Node:
 class HoeffdingTreeClassifier:
     """Very Fast Decision Tree for streaming classification.
 
-    Parameters mirror the usual streaming-library defaults: evaluate
-    splits every ``grace_period`` instances at a leaf, split when the
+    The settings are the usual streaming-library defaults: evaluate
+    splits every ``GRACE_PERIOD`` instances at a leaf, split when the
     information-gain gap beats the Hoeffding bound at confidence
-    ``split_confidence``, or force the better split when the bound falls
-    under ``tie_threshold``.
+    ``SPLIT_CONFIDENCE``, or force the better split when the bound falls
+    under ``TIE_THRESHOLD``.
     """
 
-    def __init__(self, n_features: int, n_classes: int, *, grace_period: int = 200,
-                 split_confidence: float = 1e-7, tie_threshold: float = 0.05,
-                 n_split_points: int = 10):
+    def __init__(self, n_features: int, n_classes: int):
         if n_features < 1 or n_classes < 1:
             raise ValueError("n_features and n_classes must be positive")
         self.n_features = n_features
         self.n_classes = n_classes
-        self.grace_period = grace_period
-        self.split_confidence = split_confidence
-        self.tie_threshold = tie_threshold
-        self.n_split_points = n_split_points
         self.reset()
-
-    def get_params(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            "grace_period": self.grace_period,
-            "split_confidence": self.split_confidence,
-            "tie_threshold": self.tie_threshold,
-            "n_split_points": self.n_split_points,
-        }
 
     def reset(self) -> None:
         """Return to the cold-start state (single empty leaf)."""
@@ -157,7 +146,7 @@ class HoeffdingTreeClassifier:
         leaf = self._root.sort(arr)
         leaf.stats.update(arr, y)
         leaf.seen_since_eval += 1
-        if leaf.seen_since_eval >= self.grace_period:
+        if leaf.seen_since_eval >= GRACE_PERIOD:
             leaf.seen_since_eval = 0
             self._try_split(leaf)
 
@@ -180,8 +169,8 @@ class HoeffdingTreeClassifier:
             lo, hi = stats.feat_min[f], stats.feat_max[f]
             if not lo < hi:
                 continue
-            step = (hi - lo) / (self.n_split_points + 1)
-            for i in range(1, self.n_split_points + 1):
+            step = (hi - lo) / (N_SPLIT_POINTS + 1)
+            for i in range(1, N_SPLIT_POINTS + 1):
                 t = lo + i * step
                 left = self._left_counts(stats, f, t)
                 right = stats.class_counts - left
@@ -203,8 +192,8 @@ class HoeffdingTreeClassifier:
         if best_gain <= 0.0:
             return
         value_range = math.log2(self.n_classes) if self.n_classes > 1 else 1.0
-        bound = hoeffding_bound(value_range, self.split_confidence, int(total))
-        if best_gain - second_gain > bound or bound < self.tie_threshold:
+        bound = hoeffding_bound(value_range, SPLIT_CONFIDENCE, int(total))
+        if best_gain - second_gain > bound or bound < TIE_THRESHOLD:
             self._split(leaf, merits[0][1], merits[0][2])
 
     def _left_counts(self, stats: _LeafStats, feature: int, t: float) -> np.ndarray:

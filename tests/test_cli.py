@@ -151,3 +151,13 @@ def test_truncation_flag(tmp_path):
         (tmp_path / "results" / "report_initial_learn.json").read_text()
     )
     assert report["n_instances"] == 100
+
+
+def test_max_instances_below_one_is_usage_error(tmp_path, capsys):
+    main(synth_args(tmp_path))
+    code = main([
+        "run", "--dataset", str(tmp_path / "toy.csv"),
+        "--strategy", "initial_learn", "--max-instances", "0",
+    ])
+    assert code == EXIT_USAGE
+    assert "--max-instances" in capsys.readouterr().err

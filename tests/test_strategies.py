@@ -113,6 +113,14 @@ def test_driftgan_get_params_exposes_detector_config():
     assert params["seed"] == 5
 
 
+def test_make_strategy_driftgan_window_has_one_value():
+    strategy = make_strategy("driftgan", n_features=4, n_classes=2, rho=50)
+    assert strategy.rho == strategy.detector.config.rho == 50
+    with pytest.raises(ValueError, match="rho"):
+        make_strategy("driftgan", n_features=4, n_classes=2, rho=50,
+                      config=DetectorConfig())
+
+
 def test_make_strategy_kinds():
     for kind in STRATEGY_KINDS:
         strategy = make_strategy(kind, n_features=4, n_classes=2)

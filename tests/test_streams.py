@@ -18,6 +18,28 @@ from driftbench.streams import (
 )
 
 
+FORMATS = ("csv", "arff")
+
+
+def stream_file(tmp_path, fmt, text):
+    """Write ``text``, a CSV with a header line, in the format ``fmt``.
+
+    The ARFF has one numeric attribute per CSV column, and blank lines
+    pad the CSV to the length of the ARFF header, so each data row is on
+    the same line of both files.
+    """
+    header, data = text.split("\n", 1)
+    columns = header.split(",")
+    if fmt == "csv":
+        head = [header] + [""] * (len(columns) + 1)
+    else:
+        head = (["@relation t"] + [f"@attribute {c} numeric" for c in columns]
+                + ["@data"])
+    path = tmp_path / f"stream.{fmt}"
+    path.write_text("\n".join(head) + "\n" + data)
+    return path
+
+
 # -- CSV ---------------------------------------------------------------------
 
 
@@ -57,25 +79,25 @@ def test_csv_nominal_features_encoded(tmp_path):
     assert instances[0].features[0] != instances[1].features[0]
 
 
-def test_csv_missing_value_is_hard_error(tmp_path):
-    path = tmp_path / "toy.csv"
-    path.write_text("a,b,label\n1.0,?,0\n")
-    with pytest.raises(StreamFormatError, match="line 2"):
-        load_csv(path)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_missing_value_is_hard_error(tmp_path, fmt):
+    path = stream_file(tmp_path, fmt, "a,b,label\n1.0,?,0\n")
+    with pytest.raises(StreamFormatError, match="line 6:"):
+        load(path)
 
 
-def test_csv_bad_numeric_reports_line(tmp_path):
-    path = tmp_path / "toy.csv"
-    path.write_text("a,label\n1.0,0\noops,1\n")
-    with pytest.raises(StreamFormatError, match="line 3"):
-        load_csv(path)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bad_numeric_reports_line(tmp_path, fmt):
+    path = stream_file(tmp_path, fmt, "a,label\n1.0,0\noops,1\n")
+    with pytest.raises(StreamFormatError, match="line 6:"):
+        load(path)
 
 
-def test_csv_column_count_mismatch(tmp_path):
-    path = tmp_path / "toy.csv"
-    path.write_text("a,b,label\n1.0,2.0,0\n1.0,0\n")
-    with pytest.raises(StreamFormatError, match="line 3"):
-        load_csv(path)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_column_count_mismatch(tmp_path, fmt):
+    path = stream_file(tmp_path, fmt, "a,b,label\n1.0,2.0,0\n1.0,0\n")
+    with pytest.raises(StreamFormatError, match="line 7:"):
+        load(path)
 
 
 def test_csv_empty_and_headerless_errors(tmp_path):
@@ -89,12 +111,21 @@ def test_csv_empty_and_headerless_errors(tmp_path):
         load_csv(header_only)
 
 
-def test_csv_max_instances_truncates(tmp_path):
-    path = tmp_path / "toy.csv"
-    path.write_text("a,label\n" + "".join(f"{i},0\n" for i in range(50)))
-    instances, meta = load_csv(path, max_instances=10)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_max_instances_truncates(tmp_path, fmt):
+    path = stream_file(tmp_path, fmt,
+                       "a,label\n" + "".join(f"{i},0\n" for i in range(50)))
+    instances, meta = load(path, max_instances=10)
     assert meta.n_instances == 10
     assert len(instances) == 10
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("max_instances", [0, -1])
+def test_max_instances_below_one_is_an_error(tmp_path, fmt, max_instances):
+    path = stream_file(tmp_path, fmt, "a,label\n1.0,0\n2.0,1\n")
+    with pytest.raises(ValueError, match="max_instances"):
+        load(path, max_instances=max_instances)
 
 
 def test_write_csv_round_trip(tmp_path):
@@ -105,7 +136,7 @@ def test_write_csv_round_trip(tmp_path):
     loaded, meta = load_csv(path)
     assert meta.n_instances == len(instances)
     for orig, back in zip(instances, loaded):
-        assert np.allclose(orig.features, back.features)
+        assert np.array_equal(orig.features, back.features)
         assert orig.label == back.label
 
 
@@ -146,6 +177,15 @@ def test_arff_matches_equivalent_csv(tmp_path):
     for a, c in zip(a_instances, c_instances):
         assert np.allclose(a.features, c.features)
         assert a.label == c.label
+
+
+def test_arff_quoted_nominal_is_the_same_value(tmp_path):
+    path = tmp_path / "quoted.arff"
+    path.write_text("@relation q\n@attribute color {red,blue}\n"
+                    "@attribute class {y,n}\n@data\nred,y\n'red',n\nblue,'y'\n")
+    instances, _ = load_arff(path)
+    assert [inst.features.tolist() for inst in instances] == [[0], [0], [1]]
+    assert [inst.label for inst in instances] == [0, 1, 0]
 
 
 def test_arff_unsupported_attribute_type(tmp_path):

@@ -80,7 +80,7 @@ def test_deterministic_replay():
 
 
 def test_no_split_before_grace_period():
-    tree = HoeffdingTreeClassifier(n_features=1, n_classes=2, grace_period=200)
+    tree = HoeffdingTreeClassifier(n_features=1, n_classes=2)
     xs, ys = rule_stream(199)
     tree.fit_many(zip(xs, ys))
     assert tree.n_nodes() == 1
@@ -118,13 +118,6 @@ def test_input_validation():
         tree.partial_fit([1.0, 2.0], 2)  # label out of range
     with pytest.raises(ValueError):
         HoeffdingTreeClassifier(n_features=0, n_classes=2)
-
-
-def test_get_params_round_trip():
-    tree = HoeffdingTreeClassifier(n_features=3, n_classes=5, grace_period=50)
-    params = tree.get_params()
-    clone = HoeffdingTreeClassifier(**params)
-    assert clone.get_params() == params
 
 
 # -- the leaf layout against the per-(feature, class) reference ---------------
