@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -151,9 +150,8 @@ def _detector_config(args) -> DetectorConfig:
 def _load_ground_truth(args, meta):
     if getattr(args, "ground_truth", None) is None:
         return meta
-    doc = json.loads(args.ground_truth.read_text())
-    meta.change_points = list(doc["change_points"])
-    meta.segment_concepts = list(doc.get("segment_concepts", []))
+    meta.change_points, meta.segment_concepts = streams.read_ground_truth(
+        args.ground_truth)
     return meta
 
 

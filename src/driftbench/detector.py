@@ -10,8 +10,8 @@ discriminator by one output and triggers a full GAN retrain.
 
 Both networks train and classify in ``NETWORK_DTYPE`` (float32): its
 matmuls and its Adadelta pass cost about half of float64's. The
-detector decides on the discriminator's logits, which float32 keeps
-apart long after the sigmoid outputs have rounded to 1.
+discriminator has a linear head: it is trained by softmax cross-entropy
+on its logits and decides by their argmax.
 
 ``DetectorConfig`` holds the settings a caller chooses. The GAN's tuning
 (``GAN_MINIBATCH``, ``ADADELTA_EPSILON``, ``DISC_STEPS``, ``CE_GRAD_CLIP``,
@@ -91,11 +91,12 @@ class DriftEvent:
 
 
 class DistributionRecord:
-    """One seen distribution: its GAN training window and labeled exemplars."""
+    """One seen distribution: its standardized GAN training window and
+    its labeled exemplars."""
 
-    def __init__(self, dist_id: int, raw_window, cap: int):
+    def __init__(self, dist_id: int, window, cap: int):
         self.dist_id = dist_id
-        self.raw_window = np.asarray(raw_window, dtype=float)  # (n, d)
+        self.window = np.asarray(window, dtype=float)  # (n, d)
         self.exemplars: deque = deque(maxlen=cap)
 
     def add_exemplar(self, features, label) -> None:
@@ -113,9 +114,9 @@ class DistributionRegistry:
     def __len__(self) -> int:
         return len(self.records)
 
-    def add(self, raw_window) -> int:
+    def add(self, window) -> int:
         dist_id = len(self.records) + 1
-        self.records.append(DistributionRecord(dist_id, raw_window, self.cap))
+        self.records.append(DistributionRecord(dist_id, window, self.cap))
         return dist_id
 
     def get(self, dist_id: int) -> DistributionRecord:
@@ -160,27 +161,30 @@ def classify_batch(discriminator: Network, batch) -> list[int]:
 # GAN training
 
 
-def _sequence_dataset(registry: DistributionRegistry, seq_len: int):
+def _training_set(registry: DistributionRegistry, seq_len: int):
     """Sliding sequences within each record's window (never across
     records): each ``seq_len`` consecutive vectors, flattened, the vector
-    after them, and the record's id."""
-    windows = [record.raw_window for record in registry.records]
+    after them and the record's id; then every stored vector and its id."""
+    windows = [record.window for record in registry.records]
+    ids = [record.dist_id for record in registry.records]
+    lengths = [len(w) for w in windows]
     d = windows[0].shape[1]
     seqs = np.concatenate([
         sliding_window_view(w, (seq_len, d))[:-1, 0].reshape(-1, seq_len * d)
         for w in windows])
     nexts = np.concatenate([w[seq_len:] for w in windows])
-    ids = np.repeat([record.dist_id for record in registry.records],
-                    [len(w) - seq_len for w in windows])
-    return seqs, nexts, ids
+    seq_ids = np.repeat(ids, [n - seq_len for n in lengths])
+    return seqs, nexts, seq_ids, np.concatenate(windows), np.repeat(ids, lengths)
 
 
-def _real_dataset(registry: DistributionRegistry):
-    """Every stored window vector and its record's id."""
-    windows = [record.raw_window for record in registry.records]
-    ids = np.repeat([record.dist_id for record in registry.records],
-                    [len(w) for w in windows])
-    return np.concatenate(windows), ids
+def _new_pair(registry: DistributionRegistry, config: DetectorConfig, rng):
+    """A freshly drawn generator/discriminator pair that fits the registry."""
+    d = registry.records[0].window.shape[1]
+    generator = Network([config.seq_len * d, *GENERATOR_HIDDEN, d],
+                        ["relu", "relu", "linear"], rng, NETWORK_DTYPE)
+    discriminator = Network([d, *DISCRIMINATOR_HIDDEN, 1 + len(registry)],
+                            ["relu", "relu", "linear"], rng, NETWORK_DTYPE)
+    return generator, discriminator
 
 
 def train_gan(registry: DistributionRegistry, config: DetectorConfig, rng,
@@ -188,20 +192,20 @@ def train_gan(registry: DistributionRegistry, config: DetectorConfig, rng,
               discriminator: Network | None = None):
     """Train a generator/discriminator pair on every stored window.
 
-    Without a pair, a fresh one is built. A given pair continues training
-    in place; its widths must fit the registry (a discriminator with one
-    output per stored window plus the unseen class, e.g. just extended by
-    ``extend_output_layer``), or this raises ``ValueError``. On a
-    divergent loss the pair is rebuilt and trained once more from a fresh
-    initialization; a second divergence is a hard error.
+    Without a pair, a fresh one is drawn from ``rng``. A given pair
+    continues training in place; its widths must fit the registry (a
+    discriminator with one output per stored window plus the unseen
+    class, e.g. just extended by ``extend_output_layer``), or this raises
+    ``ValueError``. On a divergent loss a fresh pair is drawn and trained
+    once more; a second divergence is a hard error.
     """
     if len(registry) == 0:
         raise ValueError("registry is empty")
     for record in registry.records:
-        if len(record.raw_window) < config.seq_len + 1:
+        if len(record.window) < config.seq_len + 1:
             raise ValueError("every stored window needs at least seq_len + 1 vectors")
     if generator is not None or discriminator is not None:
-        d = registry.records[0].raw_window.shape[1]
+        d = registry.records[0].window.shape[1]
         widths = (config.seq_len * d, d, d, 1 + len(registry))
         if generator is None or discriminator is None or widths != (
                 generator.input_size, generator.output_size,
@@ -210,12 +214,14 @@ def train_gan(registry: DistributionRegistry, config: DetectorConfig, rng,
                              f"the registry: widths {widths} needed")
     last_error = None
     for attempt in range(2):
+        if generator is None:  # no pair given, or a retry
+            generator, discriminator = _new_pair(registry, config, rng)
         try:
             return _train_gan_once(registry, config, rng, generator, discriminator)
         except TrainingDivergedError as err:
             log.warning("GAN training diverged (attempt %d): %s", attempt + 1, err)
             last_error = err
-            generator = discriminator = None  # retry from a fresh init
+            generator = discriminator = None
     raise TrainingDivergedError(
         f"GAN training diverged twice; registry size {len(registry)}"
     ) from last_error
@@ -259,34 +265,24 @@ def _sample_probes(rng, n, real_vecs, radius):
     any real vector are rejected so the probes never poison real regions.
     """
     d = real_vecs.shape[1]
-    kept = []
+    kept = np.empty((0, d))
     for _ in range(8):  # oversample a few rounds; leftovers are fine
         cand = standardize(rng.normal(0.0, 1.0, (3 * n, d)))
-        kept.extend(cand[_nearest_distances(cand, real_vecs) > radius])
+        kept = np.concatenate(
+            [kept, cand[_nearest_distances(cand, real_vecs) > radius]])
         if len(kept) >= n:
             break
-    return np.array(kept[:n]) if kept else np.empty((0, d))
+    return kept[:n]
 
 
-def _train_gan_once(registry, config, rng, generator=None, discriminator=None):
-    seqs, nexts, seq_ids = _sequence_dataset(registry, config.seq_len)
-    real_vecs, real_ids = _real_dataset(registry)
+def _train_gan_once(registry, config, rng, generator, discriminator):
+    seqs, nexts, seq_ids, real_vecs, real_ids = _training_set(
+        registry, config.seq_len)
     # The networks compute in NETWORK_DTYPE. The sequences are cast once
     # here. The real vectors stay float64 for the distances, the jitter
     # and standardize, like the rest of the detector's data, and are cast
     # where they are stacked into a discriminator's input.
     seqs, nexts = seqs.astype(NETWORK_DTYPE), nexts.astype(NETWORK_DTYPE)
-    d = real_vecs.shape[1]
-
-    if generator is None:  # train_gan has checked a given pair's widths
-        generator = Network(
-            [config.seq_len * d, *GENERATOR_HIDDEN, d],
-            ["relu", "relu", "linear"], rng, NETWORK_DTYPE,
-        )
-        discriminator = Network(
-            [d, *DISCRIMINATOR_HIDDEN, 1 + len(registry)],
-            ["relu", "relu", "sigmoid"], rng, NETWORK_DTYPE,
-        )
     gen_opt = AdadeltaState.for_param(generator.params,
                                       epsilon=ADADELTA_EPSILON)
     disc_opt = AdadeltaState.for_param(discriminator.params,
@@ -414,16 +410,13 @@ class DriftGanDetector:
 
     def initialize(self, window_features) -> None:
         """Train the initial GAN on the first rho raw feature vectors."""
+        if len(self.registry):
+            raise RuntimeError("detector already initialized")
         if len(window_features) < self.config.rho:
             raise ValueError(f"need {self.config.rho} vectors to initialize")
         window = standardize(window_features)
-        dist_id = self.registry.add(window)
-        self.registry.current = dist_id
-        self.generator, self.discriminator = train_gan(
-            self.registry, self.config, self.rng
-        )
+        self._register(window)
         self.instances_seen = len(window)
-        self._check_consistency()
 
     def add_exemplar(self, features, label) -> None:
         """Store a labeled instance under the current distribution."""
@@ -507,8 +500,14 @@ class DriftGanDetector:
         """Add a record, grow the discriminator, retrain the GAN."""
         if len(window_std) < self.config.rho:
             raise ValueError(f"need at least rho={self.config.rho} vectors")
+        return self._register(window_std)
+
+    def _register(self, window_std) -> int:
+        """Store a standardized window as a new current distribution: grow
+        the discriminator (if any) by one output, train on every window."""
         dist_id = self.registry.add(window_std)
-        extend_output_layer(self.discriminator, self.rng)
+        if self.discriminator is not None:
+            extend_output_layer(self.discriminator, self.rng)
         self.generator, self.discriminator = train_gan(
             self.registry, self.config, self.rng,
             self.generator, self.discriminator,

@@ -98,11 +98,12 @@ class Network:
     """Dense feed-forward network.
 
     ``layer_sizes`` has length L+1 (input width first), ``activations``
-    has length L, one per layer. ``dtype`` is the dtype of the
-    parameters, the gradients and every array the network computes.
+    has length L, one per layer. The weights are drawn from ``rng``; the
+    biases start at zero. ``dtype`` is the dtype of the parameters, the
+    gradients and every array the network computes.
     """
 
-    def __init__(self, layer_sizes, activations, rng=None, dtype=np.float64):
+    def __init__(self, layer_sizes, activations, rng, dtype=np.float64):
         if len(layer_sizes) < 2:
             raise ValueError("need at least one layer")
         if len(activations) != len(layer_sizes) - 1:
@@ -110,8 +111,6 @@ class Network:
         for act in activations:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
-        if rng is None:
-            rng = np.random.default_rng()
         self._allocate(layer_sizes, activations, dtype)
         for layer in self.layers:
             _init_layer(layer, rng)
@@ -271,6 +270,8 @@ def _backward(net, pre, post, out_grad, skip_final_activation):
 # Elements per block of the Adadelta pass: a block of each operand stays
 # in cache across the whole sequence of operations on it.
 ADADELTA_BLOCK = 32_768
+# Adadelta's decay rate (rho in Zeiler 2012) for every accumulator.
+ADADELTA_DECAY = 0.95
 
 
 @dataclass
@@ -280,12 +281,11 @@ class AdadeltaState:
 
     avg_sq_grad: np.ndarray
     avg_sq_delta: np.ndarray
-    decay: float = 0.95
     epsilon: float = 1e-6
 
     @classmethod
-    def for_param(cls, param: np.ndarray, decay: float = 0.95, epsilon: float = 1e-6):
-        return cls(np.zeros_like(param), np.zeros_like(param), decay, epsilon)
+    def for_param(cls, param: np.ndarray, epsilon: float = 1e-6):
+        return cls(np.zeros_like(param), np.zeros_like(param), epsilon)
 
 
 def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState):
@@ -302,7 +302,7 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, state: AdadeltaState):
         Ed = rho * Ed + (1 - rho) * delta**2
         param += delta
     """
-    rho, eps = state.decay, state.epsilon
+    rho, eps = ADADELTA_DECAY, state.epsilon
     updated = (param, state.avg_sq_grad, state.avg_sq_delta)
     if not all(a.flags.c_contiguous for a in updated):
         raise ValueError("adadelta_update needs C-contiguous parameter "
@@ -348,15 +348,13 @@ def train_step(net: Network, batch_inputs, batch_targets, loss: str,
     return value
 
 
-def extend_output_layer(net: Network, rng=None) -> Network:
+def extend_output_layer(net: Network, rng) -> Network:
     """Grow the output layer by one unit.
 
     Both buffers are reallocated in the network's dtype. Layers below the
-    top keep their parameters; the whole final layer is reinitialized (a
-    retrain always follows an extension).
+    top keep their parameters; the whole final layer is redrawn from
+    ``rng`` (a retrain always follows an extension).
     """
-    if rng is None:
-        rng = np.random.default_rng()
     sizes = [net.input_size] + [l.weights.shape[0] for l in net.layers]
     sizes[-1] += 1
     old, last = net.params, net.layers[-1]

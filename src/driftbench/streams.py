@@ -6,8 +6,9 @@ nominal attributes only, the last attribute being the label. Both
 formats share one set of data-row rules:
 
 - every row has one value per column, and blank rows are skipped;
-- a missing value (``""`` or ``?``) is a hard error: silent imputation
-  would corrupt the drift statistics downstream;
+- a missing value (``""`` or ``?``) in any column, the label included,
+  is a hard error: silent imputation would corrupt the drift statistics
+  downstream;
 - a nominal feature's values are encoded 0, 1, ... by first appearance.
   ARFF declares which attributes are nominal; in CSV, a feature column
   is nominal when its first row's value is not a number;
@@ -101,7 +102,10 @@ def _read_rows(rows, arity, nominal, max_instances):
                     f"got {tok!r}"
                 ) from None
         feats.append(row)
-        label_tokens.append(tokens[-1].strip())
+        label = tokens[-1].strip()
+        if label in ("", "?"):
+            raise StreamFormatError(f"line {line_no}: missing label")
+        label_tokens.append(label)
         if len(feats) == max_instances:
             break
     if not feats:
@@ -208,7 +212,7 @@ class GaussianConcept:
         return feats, labels
 
 
-def default_concepts(d: int = 4, noise: float = 0.5) -> dict:
+def default_concepts(noise: float = 0.5) -> dict:
     """Built-in concept bank A..D used by the CLI and the test suites.
 
     Concept mean patterns are chosen so that (a) concepts stay separable
@@ -219,8 +223,6 @@ def default_concepts(d: int = 4, noise: float = 0.5) -> dict:
     (c) the weak feature's label correlation flips the previous concept's
     dominant rule, so a stale classifier degrades hard.
     """
-    if d != 4:
-        raise ValueError("the built-in concept bank is 4-dimensional")
     bank = {
         "A": [[6, 0.5, 0, 0], [-6, -0.5, 0, 0]],
         "B": [[-0.5, 0, 6, 0], [0.5, 0, -6, 0]],
@@ -272,3 +274,31 @@ def write_ground_truth(meta: StreamMetadata, path) -> None:
         "n_instances": meta.n_instances,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def read_ground_truth(path) -> tuple[list[int], list[str]]:
+    """``(change_points, segment_concepts)`` from a ground-truth JSON file.
+
+    The change points must be a strictly increasing list of positive
+    integers. ``segment_concepts`` is optional (empty when absent); when
+    given, it names each of the ``len(change_points) + 1`` segments.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise StreamFormatError(f"{path}: not a JSON document: {err}") from None
+    if not isinstance(doc, dict):
+        raise StreamFormatError(f"{path}: expected a JSON object")
+    points = doc.get("change_points")
+    if not (isinstance(points, list)
+            and all(type(p) is int and p > 0 for p in points)
+            and all(a < b for a, b in zip(points, points[1:]))):
+        raise StreamFormatError(f"{path}: change_points must be a strictly "
+                                "increasing list of positive integers")
+    concepts = doc.get("segment_concepts", [])
+    if "segment_concepts" in doc and not (
+            isinstance(concepts, list) and len(concepts) == len(points) + 1
+            and all(isinstance(c, str) for c in concepts)):
+        raise StreamFormatError(f"{path}: segment_concepts must be a list of "
+                                f"{len(points) + 1} strings, one per segment")
+    return points, concepts

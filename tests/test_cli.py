@@ -95,6 +95,19 @@ def test_invalid_rho_is_usage_error(tmp_path, capsys):
     assert "rho" in capsys.readouterr().err
 
 
+def test_malformed_ground_truth_is_runtime_error(tmp_path, capsys):
+    main(synth_args(tmp_path))
+    truth = tmp_path / "bad_truth.json"
+    truth.write_text(json.dumps({"segment_concepts": ["A", "B"]}))
+    code = main(["run", "--dataset", str(tmp_path / "toy.csv"),
+                 "--strategy", "initial_learn", "--rho", "20",
+                 "--ground-truth", str(truth), "--out", str(tmp_path)])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "change_points" in err
+    assert "Traceback" not in err
+
+
 def test_missing_dataset_is_runtime_error(tmp_path, capsys):
     code = main(["run", "--dataset", str(tmp_path / "nope.csv"),
                  "--strategy", "initial_learn"])

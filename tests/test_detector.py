@@ -8,18 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import driftbench.detector as detector_module
 from driftbench.detector import (
     CONSENSUS_HEAD,
     DetectorConfig,
     DistributionRegistry,
     DriftGanDetector,
-    _real_dataset,
-    _sequence_dataset,
+    _new_pair,
+    _sample_probes,
+    _training_set,
     classify_batch,
     standardize,
     train_gan,
 )
-from driftbench.nn import Network, extend_output_layer
+from driftbench.nn import Network, TrainingDivergedError, extend_output_layer
 from driftbench.streams import default_concepts
 
 
@@ -161,7 +163,7 @@ def test_classify_batch_ties_resolve_to_lowest_id():
 def test_classify_batch_takes_the_argmax_of_the_logits(dtype, low, high):
     # the sigmoid rounds both logits to 1.0, so an argmax over the
     # outputs ties and returns id 0
-    net = Network([2, 2], ["sigmoid"], dtype=dtype)
+    net = Network([2, 2], ["sigmoid"], np.random.default_rng(0), dtype)
     net.layers[0].weights[...] = np.eye(2)
     net.layers[0].bias[...] = 0.0
     batch = np.array([[low, high], [high, low]])
@@ -353,11 +355,11 @@ def test_train_gan_separates_real_from_generated():
     rng = np.random.default_rng(0)
     generator, discriminator = train_gan(registry, config, rng)
 
-    real = np.array(registry.get(1).raw_window)
+    real = registry.get(1).window
     real_rate = np.mean(np.array(classify_batch(discriminator, real)) == 1)
     assert real_rate >= 0.9
 
-    seqs = np.array([np.concatenate(registry.get(1).raw_window[i:i + 4])
+    seqs = np.array([np.concatenate(registry.get(1).window[i:i + 4])
                      for i in range(config.rho - 4)])
     fake = generator.forward(seqs)
     fake_rate = np.mean(np.array(classify_batch(discriminator, fake)) == 0)
@@ -384,25 +386,18 @@ def test_train_gan_warns_when_epochs_run_out(caplog):
     assert "gan_max_epochs=1" in record.getMessage()
 
 
-def loop_sequence_dataset(registry, seq_len):
-    """Row-by-row reference for _sequence_dataset."""
-    seqs, nexts, ids = [], [], []
+def loop_training_set(registry, seq_len):
+    """Row-by-row reference for _training_set."""
+    seqs, nexts, seq_ids, vecs, vec_ids = [], [], [], [], []
     for record in registry.records:
-        window = record.raw_window
+        window = record.window
         for i in range(len(window) - seq_len):
             seqs.append(np.concatenate(window[i:i + seq_len]))
             nexts.append(window[i + seq_len])
-            ids.append(record.dist_id)
-    return np.array(seqs), np.array(nexts), np.array(ids)
-
-
-def loop_real_dataset(registry):
-    """Row-by-row reference for _real_dataset."""
-    vecs, ids = [], []
-    for record in registry.records:
-        vecs.extend(record.raw_window)
-        ids.extend([record.dist_id] * len(record.raw_window))
-    return np.array(vecs), np.array(ids)
+            seq_ids.append(record.dist_id)
+        vecs.extend(window)
+        vec_ids.extend([record.dist_id] * len(window))
+    return tuple(map(np.array, (seqs, nexts, seq_ids, vecs, vec_ids)))
 
 
 @pytest.mark.parametrize("lengths, d, seq_len", [
@@ -417,8 +412,9 @@ def test_training_arrays_match_the_row_by_row_reference(lengths, d, seq_len):
     registry = DistributionRegistry(10)
     for n in lengths:
         registry.add(standardize(rng.normal(size=(n, d))))
-    got = _sequence_dataset(registry, seq_len) + _real_dataset(registry)
-    want = loop_sequence_dataset(registry, seq_len) + loop_real_dataset(registry)
+    got = _training_set(registry, seq_len)
+    want = loop_training_set(registry, seq_len)
+    assert len(got) == len(want)
     for array, reference in zip(got, want):
         assert array.dtype == reference.dtype
         assert np.array_equal(array, reference)
@@ -439,6 +435,79 @@ def test_train_gan_continues_a_fitting_pair_and_rejects_one_that_does_not():
     extend_output_layer(discriminator, rng)
     pair = train_gan(registry, config, rng, generator, discriminator)
     assert pair[0] is generator and pair[1] is discriminator
+
+
+def two_window_registry(config):
+    registry = DistributionRegistry(config.per_dist_cap)
+    registry.add(concept_window("A", seed=0, n=config.rho))
+    registry.add(concept_window("B", seed=1, n=config.rho))
+    return registry
+
+
+def test_train_gan_retries_a_divergence_on_a_fresh_pair(monkeypatch):
+    config = DetectorConfig(rho=20)
+    registry = two_window_registry(config)
+    rng = np.random.default_rng(0)
+    given = _new_pair(registry, config, rng)
+    trained = []
+
+    def diverge_once(registry, config, rng, generator, discriminator):
+        trained.append((generator, discriminator))
+        if len(trained) == 1:
+            raise TrainingDivergedError("non-finite loss")
+        return generator, discriminator
+
+    monkeypatch.setattr(detector_module, "_train_gan_once", diverge_once)
+    pair = train_gan(registry, config, rng, *given)
+    assert len(trained) == 2
+    assert trained[0][0] is given[0] and trained[0][1] is given[1]
+    generator, discriminator = trained[1]
+    assert pair[0] is generator and pair[1] is discriminator
+    assert generator is not given[0] and discriminator is not given[1]
+    assert (generator.input_size, generator.output_size,
+            discriminator.input_size, discriminator.output_size) == (16, 4, 4, 3)
+    assert [l.activation for l in generator.layers] == ["relu", "relu", "linear"]
+    assert [l.activation for l in discriminator.layers] == ["relu", "relu",
+                                                            "linear"]
+
+
+def test_train_gan_gives_up_after_two_divergences(monkeypatch):
+    config = DetectorConfig(rho=20)
+    registry = two_window_registry(config)
+    trained = []
+
+    def diverge(registry, config, rng, generator, discriminator):
+        trained.append(generator)
+        raise TrainingDivergedError("non-finite loss")
+
+    monkeypatch.setattr(detector_module, "_train_gan_once", diverge)
+    with pytest.raises(TrainingDivergedError, match="diverged twice"):
+        train_gan(registry, config, np.random.default_rng(0))
+    assert len(trained) == 2 and trained[0] is not trained[1]
+
+
+@pytest.mark.parametrize("n", [1, 16, 40])
+def test_sample_probes_are_standardized_and_clear_of_every_real_vector(n):
+    real = np.vstack([concept_window("A", seed=0), concept_window("B", seed=1)])
+    radius = 1.5
+    probes = _sample_probes(np.random.default_rng(n), n, real, radius)
+    assert 0 < len(probes) <= n and probes.shape[1] == real.shape[1]
+    assert np.allclose(probes.mean(axis=1), 0.0)
+    assert np.allclose(probes.std(axis=1), 1.0)
+    for probe in probes:
+        assert min(np.linalg.norm(probe - row) for row in real) > radius
+    # standardized 4-vectors lie on a sphere of radius 2: none is 5 away
+    none = _sample_probes(np.random.default_rng(n), n, real, 5.0)
+    assert none.shape == (0, real.shape[1])
+
+
+def test_second_initialize_is_an_error():
+    config = DetectorConfig(rho=20, gan_max_epochs=1)
+    det = DriftGanDetector(config)
+    det.initialize(concept_window("A", seed=0, n=config.rho))
+    with pytest.raises(RuntimeError, match="already initialized"):
+        det.initialize(concept_window("B", seed=1, n=config.rho))
+    assert len(det.registry) == 1 and det.discriminator.output_size == 2
 
 
 def test_train_gan_rejects_empty_or_short_registry():

@@ -9,6 +9,7 @@ import pytest
 from driftbench.nn import (
     ACTIVATIONS,
     ADADELTA_BLOCK,
+    ADADELTA_DECAY,
     AdadeltaState,
     Network,
     TrainingDivergedError,
@@ -233,7 +234,7 @@ def test_cross_entropy_value_oracle():
 def test_cross_entropy_is_finite_where_the_label_probability_underflows(dtype):
     # softmax([0, 1000])[0] = exp(-1000) is 0 in either dtype; the loss
     # is exactly 1000 and the gradient pushes the logits apart by 1
-    net = Network([2, 2], ["linear"], dtype=dtype)
+    net = Network([2, 2], ["linear"], np.random.default_rng(0), dtype)
     net.layers[0].weights[...] = np.eye(2)
     net.layers[0].bias[...] = 0.0
     x = np.array([[0.0, 1000.0]])
@@ -279,7 +280,7 @@ def test_float32_network_keeps_every_array_float32(loss):
 
 def reference_adadelta_update(param, grad, state):
     """The textbook update over whole arrays, the blocked kernel's oracle."""
-    rho, eps = state.decay, state.epsilon
+    rho, eps = ADADELTA_DECAY, state.epsilon
     state.avg_sq_grad *= rho
     state.avg_sq_grad += (1.0 - rho) * grad**2
     delta = -np.sqrt((state.avg_sq_delta + eps) / (state.avg_sq_grad + eps)) * grad

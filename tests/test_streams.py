@@ -12,6 +12,7 @@ from driftbench.streams import (
     load,
     load_arff,
     load_csv,
+    read_ground_truth,
     synth_recurring,
     write_csv,
     write_ground_truth,
@@ -79,10 +80,19 @@ def test_csv_nominal_features_encoded(tmp_path):
     assert instances[0].features[0] != instances[1].features[0]
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_missing_value_is_hard_error(tmp_path, fmt):
-    path = stream_file(tmp_path, fmt, "a,b,label\n1.0,?,0\n")
-    with pytest.raises(StreamFormatError, match="line 6:"):
+MISSING = {  # test id suffix -> (data row, error message)
+    "": ("1.0,?,0", "missing value"),
+    "-label-qmark": ("1.0,2.0,?", "missing label"),
+    "-label-empty": ("1.0,2.0,", "missing label"),
+}
+
+
+@pytest.mark.parametrize("fmt, row, message", [
+    pytest.param(fmt, row, message, id=fmt + suffix)
+    for suffix, (row, message) in MISSING.items() for fmt in FORMATS])
+def test_missing_value_is_hard_error(tmp_path, fmt, row, message):
+    path = stream_file(tmp_path, fmt, f"a,b,label\n{row}\n")
+    with pytest.raises(StreamFormatError, match=f"line 6: {message}"):
         load(path)
 
 
@@ -252,8 +262,6 @@ def test_synthetic_spec_validation():
         SyntheticSpec(concepts, ["Z"], [10]).validate()
     with pytest.raises(ValueError):
         SyntheticSpec(concepts, ["A"], [0]).validate()
-    with pytest.raises(ValueError):
-        default_concepts(d=7)
 
 
 def test_write_ground_truth(tmp_path):
@@ -265,3 +273,38 @@ def test_write_ground_truth(tmp_path):
     assert doc["change_points"] == [20]
     assert doc["segment_concepts"] == ["A", "B"]
     assert doc["n_instances"] == 40
+    assert read_ground_truth(path) == ([20], ["A", "B"])
+
+
+@pytest.mark.parametrize("doc, want", [
+    ({"change_points": [5, 9]}, ([5, 9], [])),
+    ({"change_points": [], "segment_concepts": ["A"]}, ([], ["A"])),
+])
+def test_read_ground_truth_accepts_optional_concepts(tmp_path, doc, want):
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(doc))
+    assert read_ground_truth(path) == want
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[150, 300]",
+    json.dumps({"segment_concepts": ["A", "B"]}),
+    json.dumps({"change_points": 150}),
+    json.dumps({"change_points": [150, "x"]}),
+    json.dumps({"change_points": [150, 1.5e3]}),
+    json.dumps({"change_points": [True]}),
+    json.dumps({"change_points": [0, 150]}),
+    json.dumps({"change_points": [300, 150]}),
+    json.dumps({"change_points": [150, 150]}),
+    json.dumps({"change_points": [150], "segment_concepts": ["A"]}),
+    json.dumps({"change_points": [150], "segment_concepts": ["A", 2]}),
+    json.dumps({"change_points": [150], "segment_concepts": None}),
+], ids=["not-json", "not-object", "no-change-points", "not-a-list",
+        "string", "float", "bool", "zero", "decreasing", "repeated",
+        "concepts-too-few", "concept-not-string", "concepts-null"])
+def test_malformed_ground_truth_is_an_error(tmp_path, text):
+    path = tmp_path / "truth.json"
+    path.write_text(text)
+    with pytest.raises(StreamFormatError):
+        read_ground_truth(path)
