@@ -8,7 +8,9 @@ formats share one set of data-row rules:
 - every row has one value per column, and blank rows are skipped;
 - a missing value (``""`` or ``?``) in any column, the label included,
   is a hard error: silent imputation would corrupt the drift statistics
-  downstream;
+  downstream. So is a non-finite numeric value (``nan``, ``inf``,
+  ``-inf``, or a literal that overflows), which would turn its whole
+  standardized row into NaN;
 - a nominal feature's values are encoded 0, 1, ... by first appearance.
   ARFF declares which attributes are nominal; in CSV, a feature column
   is nominal when its first row's value is not a number;
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -95,12 +98,16 @@ def _read_rows(rows, arity, nominal, max_instances):
                 row.append(float(codes[col].setdefault(tok, len(codes[col]))))
                 continue
             try:
-                row.append(float(tok))
+                value = float(tok)
             except ValueError:
                 raise StreamFormatError(
                     f"line {line_no}: expected numeric value in column {col}, "
                     f"got {tok!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise StreamFormatError(
+                    f"line {line_no}: non-finite value in column {col}")
+            row.append(value)
         feats.append(row)
         label = tokens[-1].strip()
         if label in ("", "?"):
@@ -268,11 +275,10 @@ def synth_recurring(spec: SyntheticSpec, seed: int):
 
 
 def write_ground_truth(meta: StreamMetadata, path) -> None:
-    doc = {
-        "change_points": meta.change_points,
-        "segment_concepts": meta.segment_concepts,
-        "n_instances": meta.n_instances,
-    }
+    doc = {"change_points": meta.change_points}
+    if meta.segment_concepts:  # a loaded stream names no concepts
+        doc["segment_concepts"] = meta.segment_concepts
+    doc["n_instances"] = meta.n_instances
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 

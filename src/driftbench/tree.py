@@ -4,11 +4,33 @@ Numeric features only; binary splits chosen by information gain with
 Gaussian per-class estimators and a fixed grid of candidate thresholds.
 The tree is fully deterministic: the same instance sequence always
 produces the same tree.
+
+A leaf keeps its statistics in one of two layouts, chosen once from
+``n_features`` when the tree is built:
+
+- up to ``SCALAR_LEAF_MAX_FEATURES`` (16) features, Python float lists
+  updated in one loop over the instance (``_ScalarLeafStats``);
+- above that, numpy rows updated by whole-row ufuncs (``_LeafStats``).
+
+Both do the same IEEE operations in the same order, so they hold the
+same numbers (a NaN's payload aside, which no comparison reads) and
+grow the same tree. What differs is the cost. The numpy update is about
+ten numpy calls, and their fixed per-call overhead, not the row's
+length, sets its cost; the Python loop costs about 0.15-0.3 µs per
+feature. On a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4), one leaf
+update took 1.1 µs as lists against 3.9 µs as numpy rows at d = 4, 2.9
+against 3.6 at d = 16, 4.0 against 3.7 at d = 24, 5.2 against 3.7 at
+d = 32 and 9.1 against 3.8 at d = 54. The crossover lay between 16 and
+24 features in every measurement, while the VM's speed drifted by a
+factor of two between them.
+The split search, every ``GRACE_PERIOD`` instances, reads one array
+snapshot of the leaf, whichever layout it has.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +38,7 @@ GRACE_PERIOD = 200        # instances a leaf sees between split evaluations
 SPLIT_CONFIDENCE = 1e-7   # delta of the Hoeffding bound
 TIE_THRESHOLD = 0.05      # split anyway once the bound is this tight
 N_SPLIT_POINTS = 10       # candidate thresholds per feature
+SCALAR_LEAF_MAX_FEATURES = 16  # widest stream whose leaves are float lists
 
 
 def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
@@ -42,28 +65,92 @@ def _normal_cdf(x: float) -> float:
 
 
 class _LeafStats:
-    """Sufficient statistics kept at a leaf.
+    """Sufficient statistics kept at a leaf, as numpy rows (wide streams).
 
     Every feature of an instance is seen with its class, so one count
-    per class serves all of that class's per-feature accumulators.
+    per class serves all of that class's per-feature accumulators. The
+    counts are Python floats in both layouts. ``majority`` is the leaf's
+    prediction: the lowest-index most counted class, or the fallback
+    label while the leaf is empty.
     """
 
-    def __init__(self, n_features: int, n_classes: int):
-        self.class_counts = np.zeros(n_classes)
+    def __init__(self, n_features: int, n_classes: int, majority: int = 0):
+        self.class_counts = [0.0] * n_classes
+        self.majority = majority
         # per-class Welford accumulators, one row of features per class
         self.means = np.zeros((n_classes, n_features))
         self.m2 = np.zeros((n_classes, n_features))
         self.feat_min = np.full(n_features, np.inf)
         self.feat_max = np.full(n_features, -np.inf)
 
+    def _count(self, y: int) -> float:
+        """Count one instance of class y; return its new count."""
+        counts = self.class_counts
+        n = counts[y] + 1.0
+        counts[y] = n
+        # only counts[y] grew, so it is the new majority if it overtook
+        # the old one, or drew level with it from a lower index
+        top = counts[self.majority]
+        if n > top or (n == top and y < self.majority):
+            self.majority = y
+        return n
+
     def update(self, x: np.ndarray, y: int) -> None:
-        self.class_counts[y] += 1
+        n = self._count(y)
         np.minimum(self.feat_min, x, out=self.feat_min)
         np.maximum(self.feat_max, x, out=self.feat_max)
         means = self.means[y]
         delta = x - means
-        means += delta / self.class_counts[y]
+        means += delta / n
         self.m2[y] += delta * (x - means)
+
+    def snapshot(self) -> "_LeafSnapshot":
+        """Copies of the statistics as float64 arrays, for the split search."""
+        return _LeafSnapshot(np.array(self.class_counts), np.array(self.means),
+                             np.array(self.m2), np.array(self.feat_min),
+                             np.array(self.feat_max))
+
+
+class _ScalarLeafStats(_LeafStats):
+    """The same statistics as Python float lists (narrow streams).
+
+    ``update`` does the numpy rows' IEEE operations, in the same order,
+    one feature at a time.
+    """
+
+    def __init__(self, n_features: int, n_classes: int, majority: int = 0):
+        self.class_counts = [0.0] * n_classes
+        self.majority = majority
+        self.means = [[0.0] * n_features for _ in range(n_classes)]
+        self.m2 = [[0.0] * n_features for _ in range(n_classes)]
+        self.feat_min = [math.inf] * n_features
+        self.feat_max = [-math.inf] * n_features
+
+    def update(self, x: np.ndarray, y: int) -> None:
+        n = self._count(y)
+        lo, hi, means, m2 = self.feat_min, self.feat_max, self.means[y], self.m2[y]
+        for f, v in enumerate(x.tolist()):
+            # as np.minimum/np.maximum: a tie or a NaN takes the new value
+            # (so -0.0 replaces 0.0), unless a NaN is held already
+            if v <= lo[f] or (v != v and lo[f] == lo[f]):
+                lo[f] = v
+            if v >= hi[f] or (v != v and hi[f] == hi[f]):
+                hi[f] = v
+            mean = means[f]
+            delta = v - mean
+            mean += delta / n
+            means[f] = mean
+            m2[f] += delta * (v - mean)
+
+
+class _LeafSnapshot(NamedTuple):
+    """A leaf's statistics as arrays: what the split search reads."""
+
+    class_counts: np.ndarray
+    means: np.ndarray     # (n_classes, n_features)
+    m2: np.ndarray        # (n_classes, n_features)
+    feat_min: np.ndarray
+    feat_max: np.ndarray
 
     def std(self, feature: int, label: int) -> float:
         n = self.class_counts[label]
@@ -74,15 +161,14 @@ class _LeafStats:
 
 class _Node:
     __slots__ = ("stats", "split_feature", "split_threshold", "left", "right",
-                 "fallback_label", "seen_since_eval")
+                 "seen_since_eval")
 
-    def __init__(self, n_features: int, n_classes: int, fallback_label: int = 0):
-        self.stats = _LeafStats(n_features, n_classes)
+    def __init__(self, stats):
+        self.stats = stats
         self.split_feature = None
         self.split_threshold = None
         self.left = None
         self.right = None
-        self.fallback_label = fallback_label
         self.seen_since_eval = 0
 
     def is_leaf(self) -> bool:
@@ -90,7 +176,7 @@ class _Node:
 
     def sort(self, x: np.ndarray) -> "_Node":
         node = self
-        while not node.is_leaf():
+        while node.split_feature is not None:
             if x[node.split_feature] <= node.split_threshold:
                 node = node.left
             else:
@@ -98,10 +184,7 @@ class _Node:
         return node
 
     def majority(self) -> int:
-        counts = self.stats.class_counts
-        if not counts.any():
-            return self.fallback_label
-        return int(counts.argmax())
+        return self.stats.majority
 
 
 class HoeffdingTreeClassifier:
@@ -119,11 +202,16 @@ class HoeffdingTreeClassifier:
             raise ValueError("n_features and n_classes must be positive")
         self.n_features = n_features
         self.n_classes = n_classes
+        self._leaf_stats = (_ScalarLeafStats if n_features <= SCALAR_LEAF_MAX_FEATURES
+                            else _LeafStats)
         self.reset()
 
     def reset(self) -> None:
         """Return to the cold-start state (single empty leaf)."""
-        self._root = _Node(self.n_features, self.n_classes)
+        self._root = self._new_leaf(0)
+
+    def _new_leaf(self, fallback_label: int) -> _Node:
+        return _Node(self._leaf_stats(self.n_features, self.n_classes, fallback_label))
 
     def _check_x(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -158,7 +246,7 @@ class HoeffdingTreeClassifier:
     # -- split machinery ----------------------------------------------------
 
     def _try_split(self, leaf: _Node) -> None:
-        stats = leaf.stats
+        stats = leaf.stats.snapshot()
         if np.count_nonzero(stats.class_counts) < 2:
             return
         merits = []  # (gain, feature, threshold), best per feature
@@ -196,7 +284,7 @@ class HoeffdingTreeClassifier:
         if best_gain - second_gain > bound or bound < TIE_THRESHOLD:
             self._split(leaf, merits[0][1], merits[0][2])
 
-    def _left_counts(self, stats: _LeafStats, feature: int, t: float) -> np.ndarray:
+    def _left_counts(self, stats: _LeafSnapshot, feature: int, t: float) -> np.ndarray:
         left = np.zeros(self.n_classes)
         for c in range(self.n_classes):
             n = stats.class_counts[c]
@@ -214,9 +302,9 @@ class HoeffdingTreeClassifier:
         fallback = leaf.majority()
         leaf.split_feature = feature
         leaf.split_threshold = threshold
-        leaf.left = _Node(self.n_features, self.n_classes, fallback)
-        leaf.right = _Node(self.n_features, self.n_classes, fallback)
-        leaf.stats = _LeafStats(self.n_features, self.n_classes)
+        leaf.left = self._new_leaf(fallback)
+        leaf.right = self._new_leaf(fallback)
+        leaf.stats = None
 
     # -- introspection ------------------------------------------------------
 

@@ -84,6 +84,10 @@ MISSING = {  # test id suffix -> (data row, error message)
     "": ("1.0,?,0", "missing value"),
     "-label-qmark": ("1.0,2.0,?", "missing label"),
     "-label-empty": ("1.0,2.0,", "missing label"),
+    "-nan": ("1.0,nan,0", "non-finite value in column 1"),
+    "-inf": ("inf,2.0,0", "non-finite value in column 0"),
+    "-neg-inf": ("1.0,-inf,0", "non-finite value in column 1"),
+    "-overflow": ("1e999,2.0,0", "non-finite value in column 0"),
 }
 
 
@@ -274,6 +278,16 @@ def test_write_ground_truth(tmp_path):
     assert doc["segment_concepts"] == ["A", "B"]
     assert doc["n_instances"] == 40
     assert read_ground_truth(path) == ([20], ["A", "B"])
+
+
+def test_ground_truth_of_a_loaded_stream_round_trips(tmp_path):
+    path = tmp_path / "toy.csv"
+    path.write_text("a,label\n1.0,0\n2.0,1\n3.0,0\n")
+    _, meta = load_csv(path)
+    truth = tmp_path / "truth.json"
+    write_ground_truth(meta, truth)
+    assert "segment_concepts" not in json.loads(truth.read_text())
+    assert read_ground_truth(truth) == ([], [])
 
 
 @pytest.mark.parametrize("doc, want", [

@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from driftbench import tree as tree_module
 from driftbench.tree import (
+    SCALAR_LEAF_MAX_FEATURES,
     HoeffdingTreeClassifier,
     _LeafStats,
     _normal_cdf,
+    _ScalarLeafStats,
     hoeffding_bound,
 )
+
+LEAF_LAYOUTS = (_ScalarLeafStats, _LeafStats)
 
 
 def test_hoeffding_bound_oracle():
@@ -124,15 +129,17 @@ def test_input_validation():
 
 
 class ReferenceLeafStats:
-    """The per-(feature, class) Welford leaf, with a count per pair."""
+    """The per-(feature, class) Welford leaf, with a count per pair, and
+    the majority taken by argmax (the fallback label while empty)."""
 
-    def __init__(self, n_features, n_classes):
+    def __init__(self, n_features, n_classes, fallback_label=0):
         self.class_counts = np.zeros(n_classes)
         self.counts = np.zeros((n_features, n_classes))
         self.means = np.zeros((n_features, n_classes))
         self.m2 = np.zeros((n_features, n_classes))
         self.feat_min = np.full(n_features, np.inf)
         self.feat_max = np.full(n_features, -np.inf)
+        self.fallback_label = fallback_label
 
     def update(self, x, y):
         self.class_counts[y] += 1
@@ -143,6 +150,15 @@ class ReferenceLeafStats:
         self.means[:, y] += delta / self.counts[:, y]
         self.m2[:, y] += delta * (x - self.means[:, y])
 
+    @property
+    def majority(self):
+        if not self.class_counts.any():
+            return self.fallback_label
+        return int(self.class_counts.argmax())
+
+    def snapshot(self):
+        return self
+
     def std(self, feature, label):
         n = self.counts[feature, label]
         if n < 2:
@@ -151,7 +167,12 @@ class ReferenceLeafStats:
 
 
 class ReferenceTree(HoeffdingTreeClassifier):
-    """A tree whose split search reads the reference leaf layout."""
+    """A tree on the reference leaf, whose split search reads its layout."""
+
+    def __init__(self, n_features, n_classes):
+        super().__init__(n_features, n_classes)
+        self._leaf_stats = ReferenceLeafStats
+        self.reset()
 
     def _left_counts(self, stats, feature, t):
         left = np.zeros(self.n_classes)
@@ -167,37 +188,101 @@ class ReferenceTree(HoeffdingTreeClassifier):
         return left
 
 
-def three_class_stream(n, seed=0):
+def three_class_stream(n, seed=0, n_features=4):
     """Three classes set by nested thresholds on three of four features
-    (the fourth is noise on another scale), with 5% of labels redrawn."""
+    (the fourth is noise on another scale), with 5% of labels redrawn;
+    features past the fourth are standard normal noise."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1.0, 1.0, size=(n, 4)) * [1.0, 2.0, 0.5, 1e3]
     ys = np.where(xs[:, 0] < -0.3, 0, np.where(xs[:, 1] < 0.5, 1, 2))
     ys[(xs[:, 0] > 0.6) & (xs[:, 2] > 0.0)] = 0
     flip = rng.random(n) < 0.05
     ys[flip] = rng.integers(0, 3, size=flip.sum())
-    return xs, ys
+    noise = rng.normal(size=(n, n_features - 4))
+    return np.hstack([xs, noise]), ys
+
+
+def nan_blind_bytes(values):
+    """The bytes of ``values`` with every NaN made the same NaN. Given two
+    NaNs, ``+`` and ``*`` may return either one: compilers order the
+    operands of a commutative operation freely, and CPython's float
+    arithmetic and numpy's loops pick different ones. No comparison in
+    the tree can tell two NaNs apart."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def assert_same_bits(stats, ref):
+    """A leaf's snapshot against the reference: counts, minima and maxima
+    by their bytes, the Welford sums and stds by their bytes up to NaN."""
+    snap = stats.snapshot()
+    assert snap.class_counts.tobytes() == ref.class_counts.tobytes()
+    assert snap.feat_min.tobytes() == ref.feat_min.tobytes()
+    assert snap.feat_max.tobytes() == ref.feat_max.tobytes()
+    assert nan_blind_bytes(snap.means) == nan_blind_bytes(ref.means.T)
+    assert nan_blind_bytes(snap.m2) == nan_blind_bytes(ref.m2.T)
+    n_classes, n_features = snap.means.shape
+    for f in range(n_features):
+        for c in range(n_classes):
+            assert nan_blind_bytes(snap.std(f, c)) == nan_blind_bytes(ref.std(f, c))
 
 
 def test_leaf_stats_equal_the_per_feature_class_reference():
     xs, ys = three_class_stream(5000)
-    stats, ref = _LeafStats(4, 3), ReferenceLeafStats(4, 3)
+    leaves, ref = [layout(4, 3) for layout in LEAF_LAYOUTS], ReferenceLeafStats(4, 3)
     for x, y in zip(xs, ys):
-        stats.update(x, y)
         ref.update(x, y)
-    assert np.array_equal(stats.class_counts, ref.class_counts)
+        for leaf in leaves:
+            leaf.update(x, y)
     assert np.array_equal(ref.counts, np.tile(ref.class_counts, (4, 1)))
-    assert np.array_equal(stats.means, ref.means.T)
-    assert np.array_equal(stats.m2, ref.m2.T)
-    assert np.array_equal(stats.feat_min, ref.feat_min)
-    assert np.array_equal(stats.feat_max, ref.feat_max)
-    for f in range(4):
-        for c in range(3):
-            assert stats.std(f, c) == ref.std(f, c)
+    for leaf in leaves:
+        assert_same_bits(leaf, ref)
 
 
-def test_tree_on_either_leaf_layout_grows_the_same_tree(monkeypatch):
-    xs, ys = three_class_stream(5000, seed=1)
+# finite values, some repeated, beside the values IEEE treats specially
+# (two NaNs that differ in the sign bit, so a held NaN shows which one)
+LEAF_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -1.0]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def leaf_streams(draw):
+    n_features = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 4))
+    fallback = draw(st.integers(0, n_classes - 1))
+    row = st.tuples(st.lists(LEAF_VALUES, min_size=n_features, max_size=n_features),
+                    st.integers(0, n_classes - 1))
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=40))
+    return n_features, n_classes, fallback, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf_streams())
+@example((1, 1, 0, [([0.0], 0), ([-0.0], 0)]))  # a tie takes the new zero
+@example((1, 1, 0, [([math.nan], 0), ([-math.nan], 0)]))  # a held NaN stays
+def test_either_leaf_layout_equals_the_reference_bit_for_bit(stream):
+    n_features, n_classes, fallback, rows = stream
+    ref = ReferenceLeafStats(n_features, n_classes, fallback)
+    leaves = [layout(n_features, n_classes, fallback) for layout in LEAF_LAYOUTS]
+    assert [leaf.majority for leaf in leaves] == [fallback, fallback]
+    with np.errstate(invalid="ignore"):  # inf - inf is one of the inputs
+        for features, y in rows:
+            x = np.array(features)
+            ref.update(x, y)
+            for leaf in leaves:
+                leaf.update(x, y)
+                # the lowest-index argmax, since the leaf is no longer empty
+                assert leaf.majority == ref.majority == int(ref.class_counts.argmax())
+    for leaf in leaves:
+        assert_same_bits(leaf, ref)
+
+
+@pytest.mark.parametrize("n_features", [4, 40])
+def test_tree_on_either_leaf_layout_grows_the_same_tree(n_features):
+    xs, ys = three_class_stream(5000, seed=1, n_features=n_features)
 
     def prequential(tree):
         preds = []
@@ -206,9 +291,10 @@ def test_tree_on_either_leaf_layout_grows_the_same_tree(monkeypatch):
             tree.partial_fit(x, y)
         return preds
 
-    tree = HoeffdingTreeClassifier(n_features=4, n_classes=3)
+    tree = HoeffdingTreeClassifier(n_features=n_features, n_classes=3)
+    layout = _ScalarLeafStats if n_features <= SCALAR_LEAF_MAX_FEATURES else _LeafStats
+    assert type(tree._root.stats) is layout
     preds = prequential(tree)
-    monkeypatch.setattr(tree_module, "_LeafStats", ReferenceLeafStats)
-    reference = ReferenceTree(n_features=4, n_classes=3)
+    reference = ReferenceTree(n_features=n_features, n_classes=3)
     assert preds == prequential(reference)
     assert tree.n_nodes() == reference.n_nodes() > 1
