@@ -5,26 +5,17 @@ Gaussian per-class estimators and a fixed grid of candidate thresholds.
 The tree is fully deterministic: the same instance sequence always
 produces the same tree.
 
-A leaf keeps its statistics in one of two layouts, chosen once from
-``n_features`` when the tree is built:
-
-- up to ``SCALAR_LEAF_MAX_FEATURES`` (16) features, Python float lists
-  updated in one loop over the instance (``_ScalarLeafStats``);
-- above that, numpy rows updated by whole-row ufuncs (``_LeafStats``).
-
-Both do the same IEEE operations in the same order, so they hold the
-same numbers (a NaN's payload aside, which no comparison reads) and
-grow the same tree. What differs is the cost. The numpy update is about
-ten numpy calls, and their fixed per-call overhead, not the row's
-length, sets its cost; the Python loop costs about 0.15-0.3 µs per
-feature. On a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4), one leaf
-update took 1.1 µs as lists against 3.9 µs as numpy rows at d = 4, 2.9
-against 3.6 at d = 16, 4.0 against 3.7 at d = 24, 5.2 against 3.7 at
-d = 32 and 9.1 against 3.8 at d = 54. The crossover lay between 16 and
-24 features in every measurement, while the VM's speed drifted by a
-factor of two between them.
+A leaf keeps its statistics as Python float lists and updates them in
+one loop over the instance. On the narrow streams the benchmarks run
+(4 features) that beats whole-row numpy ufuncs: about ten numpy calls
+per update, whose fixed per-call overhead sets their cost, against
+about 0.15-0.3 µs per feature in Python. On a 2-vCPU x86-64 VM (Python
+3.11, numpy 2.4), one leaf update took 1.1 µs as lists against 3.9 µs
+as numpy rows at d = 4 and 2.9 against 3.6 at d = 16, but 5.2 against
+3.7 at d = 32, 9.1 against 3.8 at d = 54 and 85 against 6.1 at d = 499:
+on wide streams the loop is the slower of the two.
 The split search, every ``GRACE_PERIOD`` instances, reads one array
-snapshot of the leaf, whichever layout it has.
+snapshot of the leaf.
 """
 
 from __future__ import annotations
@@ -38,7 +29,6 @@ GRACE_PERIOD = 200        # instances a leaf sees between split evaluations
 SPLIT_CONFIDENCE = 1e-7   # delta of the Hoeffding bound
 TIE_THRESHOLD = 0.05      # split anyway once the bound is this tight
 N_SPLIT_POINTS = 10       # candidate thresholds per feature
-SCALAR_LEAF_MAX_FEATURES = 16  # widest stream whose leaves are float lists
 
 
 def hoeffding_bound(value_range: float, delta: float, n: int) -> float:
@@ -65,26 +55,24 @@ def _normal_cdf(x: float) -> float:
 
 
 class _LeafStats:
-    """Sufficient statistics kept at a leaf, as numpy rows (wide streams).
+    """Sufficient statistics kept at a leaf, as Python float lists.
 
     Every feature of an instance is seen with its class, so one count
-    per class serves all of that class's per-feature accumulators. The
-    counts are Python floats in both layouts. ``majority`` is the leaf's
-    prediction: the lowest-index most counted class, or the fallback
-    label while the leaf is empty.
+    per class serves all of that class's per-feature accumulators.
+    ``majority`` is the leaf's prediction: the lowest-index most counted
+    class, or the fallback label while the leaf is empty.
     """
 
     def __init__(self, n_features: int, n_classes: int, majority: int = 0):
         self.class_counts = [0.0] * n_classes
         self.majority = majority
         # per-class Welford accumulators, one row of features per class
-        self.means = np.zeros((n_classes, n_features))
-        self.m2 = np.zeros((n_classes, n_features))
-        self.feat_min = np.full(n_features, np.inf)
-        self.feat_max = np.full(n_features, -np.inf)
+        self.means = [[0.0] * n_features for _ in range(n_classes)]
+        self.m2 = [[0.0] * n_features for _ in range(n_classes)]
+        self.feat_min = [math.inf] * n_features
+        self.feat_max = [-math.inf] * n_features
 
-    def _count(self, y: int) -> float:
-        """Count one instance of class y; return its new count."""
+    def update(self, x: np.ndarray, y: int) -> None:
         counts = self.class_counts
         n = counts[y] + 1.0
         counts[y] = n
@@ -93,54 +81,24 @@ class _LeafStats:
         top = counts[self.majority]
         if n > top or (n == top and y < self.majority):
             self.majority = y
-        return n
-
-    def update(self, x: np.ndarray, y: int) -> None:
-        n = self._count(y)
-        np.minimum(self.feat_min, x, out=self.feat_min)
-        np.maximum(self.feat_max, x, out=self.feat_max)
-        means = self.means[y]
-        delta = x - means
-        means += delta / n
-        self.m2[y] += delta * (x - means)
-
-    def snapshot(self) -> "_LeafSnapshot":
-        """Copies of the statistics as float64 arrays, for the split search."""
-        return _LeafSnapshot(np.array(self.class_counts), np.array(self.means),
-                             np.array(self.m2), np.array(self.feat_min),
-                             np.array(self.feat_max))
-
-
-class _ScalarLeafStats(_LeafStats):
-    """The same statistics as Python float lists (narrow streams).
-
-    ``update`` does the numpy rows' IEEE operations, in the same order,
-    one feature at a time.
-    """
-
-    def __init__(self, n_features: int, n_classes: int, majority: int = 0):
-        self.class_counts = [0.0] * n_classes
-        self.majority = majority
-        self.means = [[0.0] * n_features for _ in range(n_classes)]
-        self.m2 = [[0.0] * n_features for _ in range(n_classes)]
-        self.feat_min = [math.inf] * n_features
-        self.feat_max = [-math.inf] * n_features
-
-    def update(self, x: np.ndarray, y: int) -> None:
-        n = self._count(y)
         lo, hi, means, m2 = self.feat_min, self.feat_max, self.means[y], self.m2[y]
         for f, v in enumerate(x.tolist()):
-            # as np.minimum/np.maximum: a tie or a NaN takes the new value
-            # (so -0.0 replaces 0.0), unless a NaN is held already
-            if v <= lo[f] or (v != v and lo[f] == lo[f]):
+            # a NaN is held once seen, so the split search skips its feature
+            if v < lo[f] or v != v:
                 lo[f] = v
-            if v >= hi[f] or (v != v and hi[f] == hi[f]):
+            if v > hi[f] or v != v:
                 hi[f] = v
             mean = means[f]
             delta = v - mean
             mean += delta / n
             means[f] = mean
             m2[f] += delta * (v - mean)
+
+    def snapshot(self) -> "_LeafSnapshot":
+        """The statistics as float64 arrays, for the split search."""
+        return _LeafSnapshot(np.array(self.class_counts), np.array(self.means),
+                             np.array(self.m2), np.array(self.feat_min),
+                             np.array(self.feat_max))
 
 
 class _LeafSnapshot(NamedTuple):
@@ -163,8 +121,8 @@ class _Node:
     __slots__ = ("stats", "split_feature", "split_threshold", "left", "right",
                  "seen_since_eval")
 
-    def __init__(self, stats):
-        self.stats = stats
+    def __init__(self, n_features: int, n_classes: int, fallback_label: int = 0):
+        self.stats = _LeafStats(n_features, n_classes, fallback_label)
         self.split_feature = None
         self.split_threshold = None
         self.left = None
@@ -183,9 +141,6 @@ class _Node:
                 node = node.right
         return node
 
-    def majority(self) -> int:
-        return self.stats.majority
-
 
 class HoeffdingTreeClassifier:
     """Very Fast Decision Tree for streaming classification.
@@ -202,16 +157,11 @@ class HoeffdingTreeClassifier:
             raise ValueError("n_features and n_classes must be positive")
         self.n_features = n_features
         self.n_classes = n_classes
-        self._leaf_stats = (_ScalarLeafStats if n_features <= SCALAR_LEAF_MAX_FEATURES
-                            else _LeafStats)
         self.reset()
 
     def reset(self) -> None:
         """Return to the cold-start state (single empty leaf)."""
-        self._root = self._new_leaf(0)
-
-    def _new_leaf(self, fallback_label: int) -> _Node:
-        return _Node(self._leaf_stats(self.n_features, self.n_classes, fallback_label))
+        self._root = _Node(self.n_features, self.n_classes)
 
     def _check_x(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -224,7 +174,7 @@ class HoeffdingTreeClassifier:
     def predict(self, x) -> int:
         """Majority label of the leaf that x routes to (ties: lowest label)."""
         arr = self._check_x(x)
-        return self._root.sort(arr).majority()
+        return self._root.sort(arr).stats.majority
 
     def partial_fit(self, x, y: int) -> None:
         arr = self._check_x(x)
@@ -299,11 +249,11 @@ class HoeffdingTreeClassifier:
         return left
 
     def _split(self, leaf: _Node, feature: int, threshold: float) -> None:
-        fallback = leaf.majority()
+        fallback = leaf.stats.majority
         leaf.split_feature = feature
         leaf.split_threshold = threshold
-        leaf.left = self._new_leaf(fallback)
-        leaf.right = self._new_leaf(fallback)
+        leaf.left = _Node(self.n_features, self.n_classes, fallback)
+        leaf.right = _Node(self.n_features, self.n_classes, fallback)
         leaf.stats = None
 
     # -- introspection ------------------------------------------------------
