@@ -9,9 +9,11 @@ recurring drift, id 0 means a brand-new distribution, which grows the
 discriminator by one output and triggers a full GAN retrain.
 
 Both networks train and classify in ``NETWORK_DTYPE`` (float32): its
-matmuls and its Adadelta pass cost about half of float64's. The
-discriminator has a linear head: it is trained by softmax cross-entropy
-on its logits and decides by their argmax.
+matmuls and its Adadelta pass cost about half of float64's. Both are
+``nn.Network``s, ReLU stacks under a linear head. The discriminator is
+trained by softmax cross-entropy on its logits and decides by their
+argmax; the generator's mean squared error is computed here, in
+``_train_gan_once``.
 
 ``DetectorConfig`` holds the settings a caller chooses. The GAN's tuning
 (``GAN_MINIBATCH``, ``ADADELTA_EPSILON``, ``DISC_STEPS``, ``CE_GRAD_CLIP``,
@@ -147,13 +149,9 @@ def standardize(x) -> np.ndarray:
 
 
 def classify_batch(discriminator: Network, batch) -> list[int]:
-    """Argmax distribution id per vector (ties resolve to the lowest id).
-
-    The argmax is over the logits, not the sigmoid outputs: the sigmoid
-    rounds every logit above about 17 (float32) or 37 (float64) to 1,
-    and those ties would all go to the lowest id.
-    """
-    out = discriminator.logits(np.atleast_2d(batch))
+    """Argmax distribution id per row of a batch, over the
+    discriminator's logits (ties resolve to the lowest id)."""
+    out = discriminator.forward(batch)
     return [int(i) for i in np.argmax(out, axis=1)]
 
 
@@ -181,9 +179,9 @@ def _new_pair(registry: DistributionRegistry, config: DetectorConfig, rng):
     """A freshly drawn generator/discriminator pair that fits the registry."""
     d = registry.records[0].window.shape[1]
     generator = Network([config.seq_len * d, *GENERATOR_HIDDEN, d],
-                        ["relu", "relu", "linear"], rng, NETWORK_DTYPE)
+                        rng, NETWORK_DTYPE)
     discriminator = Network([d, *DISCRIMINATOR_HIDDEN, 1 + len(registry)],
-                            ["relu", "relu", "linear"], rng, NETWORK_DTYPE)
+                            rng, NETWORK_DTYPE)
     return generator, discriminator
 
 
@@ -333,8 +331,7 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
                     real_ids[real_take],
                     np.zeros(len(fake) + len(probes), dtype=int),
                 ])
-                train_step(discriminator, disc_in, disc_labels,
-                           "cross_entropy", disc_opt)
+                train_step(discriminator, disc_in, disc_labels, disc_opt)
 
             # generator step: predict the true next vector while pushing the
             # discriminator to call the fake by the imitated distribution's
@@ -344,9 +341,7 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
             # discriminator.grads; that is safe because every
             # discriminator step recomputes them before applying them.
             mse_grad = 2.0 * (fake - next_batch) / len(fake)
-            ce_value, _, ce_grad = loss_gradients(
-                discriminator, fake, id_batch, "cross_entropy"
-            )
+            ce_value, ce_grad = loss_gradients(discriminator, fake, id_batch)
             mse_norm = float(np.linalg.norm(mse_grad))
             ce_norm = float(np.linalg.norm(ce_grad))
             if ce_norm > CE_GRAD_CLIP * mse_norm and ce_norm > 0.0:
@@ -355,7 +350,7 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
             gen_loss = mse_value + ce_value
             if not np.isfinite(gen_loss):
                 raise TrainingDivergedError(f"non-finite generator loss: {gen_loss}")
-            _backward(generator, pre, post, mse_grad + ce_grad, False)
+            _backward(generator, pre, post, mse_grad + ce_grad)
             apply_gradients(generator, gen_opt)
 
         # stop once the discriminator separates all reals from current fakes
@@ -364,7 +359,6 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
             discriminator,
             np.vstack([real_vecs, all_fake], dtype=NETWORK_DTYPE),
             np.concatenate([real_ids, np.zeros(len(all_fake), dtype=int)]),
-            "cross_entropy",
         )
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(f"non-finite discriminator loss: {epoch_loss}")

@@ -1,12 +1,16 @@
 """Minimal feed-forward networks with manual backprop and Adadelta.
 
-Networks are plain stacks of dense layers (weights, bias, activation).
-Everything runs on numpy arrays; there is no autodiff graph. The two
-losses needed by the rest of the package are mean squared error on the
-network output and softmax cross-entropy on the final pre-activation
-logits (a sigmoid output layer is scored through its logits, which
-preserves the argmax). The cross entropy is computed by log-sum-exp, so
-it stays finite in float32 however small a label's probability.
+Every network is one architecture: a stack of dense layers with ReLU on
+each hidden layer and a linear head. ``Network.forward`` returns the
+head's outputs, the logits. The one loss is softmax cross-entropy on
+those logits, computed by log-sum-exp, so it stays finite in float32
+however small a label's probability. A caller that trains a network
+under another loss (the detector's generator, under mean squared error)
+computes the gradient of that loss with respect to the head's outputs
+and passes it to ``_backward``.
+
+Everything runs on numpy arrays; there is no autodiff graph. Inputs are
+batches, one row per example.
 
 Each network keeps all of its parameters in one contiguous buffer,
 ``Network.params``, and their gradients in a second buffer of the same
@@ -15,10 +19,9 @@ the constructor is given another); inputs are cast to it, and every
 temporary of the forward pass, the backward pass and Adadelta follows
 it. A layer's ``weights``/``bias`` are reshaped views into ``params``
 and its ``grad_weights``/``grad_bias`` views into ``grads``. A backward
-pass writes the gradients into ``grads`` in place, so the gradients
-that ``loss_gradients`` returns are views of ``net.grads``: they are
-valid until the next backward pass on that network. Adadelta updates
-``params`` in one pass over the flat buffers.
+pass writes the gradients into ``grads`` in place; they are valid until
+the next backward pass on that network. Adadelta updates ``params`` in
+one pass over the flat buffers.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-ACTIVATIONS = ("relu", "linear", "sigmoid")
-LOSSES = ("mse", "cross_entropy")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -44,7 +44,6 @@ class Layer:
     bias: np.ndarray  # (out,), a view into Network.params
     grad_weights: np.ndarray  # (out, in), a view into Network.grads
     grad_bias: np.ndarray  # (out,), a view into Network.grads
-    activation: str
 
 
 def _layer_views(buffer: np.ndarray, sizes) -> list:
@@ -68,64 +67,33 @@ def _init_layer(layer: Layer, rng) -> None:
     layer.weights[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-def _activate(z: np.ndarray, name: str) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "linear":
-        return z
-    if name == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activate_grad(z: np.ndarray, name: str) -> np.ndarray:
-    if name == "relu":
-        return (z > 0).astype(z.dtype)
-    if name == "linear":
-        return np.ones_like(z)
-    if name == "sigmoid":
-        s = _activate(z, "sigmoid")
-        return s * (1.0 - s)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 class Network:
-    """Dense feed-forward network.
+    """Dense feed-forward network: ReLU hidden layers, a linear head.
 
-    ``layer_sizes`` has length L+1 (input width first), ``activations``
-    has length L, one per layer. The weights are drawn from ``rng``; the
-    biases start at zero. ``dtype`` is the dtype of the parameters, the
-    gradients and every array the network computes.
+    ``layer_sizes`` has length L+1 (input width first) for L layers. The
+    weights are drawn from ``rng``; the biases start at zero. ``dtype``
+    is the dtype of the parameters, the gradients and every array the
+    network computes.
     """
 
-    def __init__(self, layer_sizes, activations, rng, dtype=np.float64):
+    def __init__(self, layer_sizes, rng, dtype=np.float64):
         if len(layer_sizes) < 2:
             raise ValueError("need at least one layer")
-        if len(activations) != len(layer_sizes) - 1:
-            raise ValueError("one activation per layer required")
-        for act in activations:
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
-        self._allocate(layer_sizes, activations, dtype)
+        self._allocate(layer_sizes, dtype)
         for layer in self.layers:
             _init_layer(layer, rng)
 
-    def _allocate(self, layer_sizes, activations, dtype) -> None:
+    def _allocate(self, layer_sizes, dtype) -> None:
         """Zeroed ``params`` and ``grads`` buffers and the layers' views."""
         total = sum((fan_in + 1) * fan_out
                     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
         self.params = np.zeros(total, dtype=dtype)
         self.grads = np.zeros(total, dtype=dtype)
         self.layers = [
-            Layer(w, b, grad_w, grad_b, act)
-            for (w, b), (grad_w, grad_b), act in zip(
+            Layer(w, b, grad_w, grad_b)
+            for (w, b), (grad_w, grad_b) in zip(
                 _layer_views(self.params, layer_sizes),
-                _layer_views(self.grads, layer_sizes), activations)
+                _layer_views(self.grads, layer_sizes))
         ]
 
     @property
@@ -136,74 +104,55 @@ class Network:
     def output_size(self) -> int:
         return self.layers[-1].weights.shape[0]
 
-    def _as_batch(self, x) -> tuple[np.ndarray, bool]:
+    def _as_batch(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=self.params.dtype)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] != self.input_size:
             raise ValueError(
-                f"expected input width {self.input_size}, got shape {arr.shape}"
+                f"expected a batch of width {self.input_size}, "
+                f"got shape {arr.shape}"
             )
-        return arr, single
+        return arr
 
     def forward(self, x) -> np.ndarray:
-        """Activations of the final layer for a vector or a batch."""
-        return _activate(self.logits(x), self.layers[-1].activation)
+        """The head's outputs (the logits) for a batch, one row per input."""
+        out = self._as_batch(x)
+        for layer in self.layers[:-1]:
+            out = np.maximum(out @ layer.weights.T + layer.bias, 0.0)
+        last = self.layers[-1]
+        return out @ last.weights.T + last.bias
 
     def forward_cached(self, x):
-        """Forward pass keeping per-layer pre/post activations for backprop."""
-        batch, _ = self._as_batch(x)
-        pre, post = [], [batch]
-        for layer in self.layers:
+        """Forward pass keeping per-layer pre/post activations for backprop.
+
+        The head is linear, so its post-activation is its pre-activation.
+        """
+        pre, post = [], [self._as_batch(x)]
+        for depth, layer in enumerate(self.layers, 1):
             z = post[-1] @ layer.weights.T + layer.bias
             pre.append(z)
-            post.append(_activate(z, layer.activation))
+            post.append(z if depth == len(self.layers) else np.maximum(z, 0.0))
         return pre, post
-
-    def logits(self, x) -> np.ndarray:
-        """Final-layer pre-activation values."""
-        batch, single = self._as_batch(x)
-        out = batch
-        for layer in self.layers[:-1]:
-            out = _activate(out @ layer.weights.T + layer.bias, layer.activation)
-        last = self.layers[-1]
-        z = out @ last.weights.T + last.bias
-        return z[0] if single else z
 
 
 # ---------------------------------------------------------------------------
-# Losses and gradients
+# Loss and gradients
 
 
-def _check_loss(loss: str) -> None:
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}")
-
-
-def _loss_and_output_grad(scored: np.ndarray, targets, loss: str):
-    """Mean batch loss and its gradient with respect to ``scored``: the
-    network output for ``mse``, the final pre-activation logits for
-    ``cross_entropy``."""
-    n = scored.shape[0]
+def _loss_and_output_grad(logits: np.ndarray, targets):
+    """Mean softmax cross-entropy of a batch and its gradient with
+    respect to the logits; ``targets`` are integer class indices."""
+    n = logits.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    if loss == "mse":
-        target = np.atleast_2d(np.asarray(targets, dtype=scored.dtype))
-        if target.shape != scored.shape:
-            raise ValueError("mse targets must match the output shape")
-        diff = scored - target
-        value = float(np.mean(diff**2))
-        return value, 2.0 * diff / diff.size
     labels = np.asarray(targets, dtype=int).ravel()
     if labels.shape[0] != n:
         raise ValueError("one class index per batch row required")
-    if labels.min() < 0 or labels.max() >= scored.shape[1]:
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("class index out of range")
     # log-sum-exp: -log softmax(z)[y] = log(sum(exp(z - max))) - (z - max)[y],
     # finite even where the label's probability underflows to 0
     rows = np.arange(n)
-    shifted = scored - scored.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
     value = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
@@ -213,53 +162,41 @@ def _loss_and_output_grad(scored: np.ndarray, targets, loss: str):
     return value, out_grad
 
 
-def batch_loss(net: Network, inputs, targets, loss: str) -> float:
+def batch_loss(net: Network, inputs, targets) -> float:
     """Loss value as used by train_step, from a forward pass alone.
 
     Holds one layer's activations at a time and touches neither the
     parameters nor ``net.grads``.
     """
-    _check_loss(loss)
-    batch = np.atleast_2d(inputs)
-    scored = net.logits(batch) if loss == "cross_entropy" else net.forward(batch)
-    return _loss_and_output_grad(scored, targets, loss)[0]
+    return _loss_and_output_grad(net.forward(inputs), targets)[0]
 
 
-def loss_gradients(net: Network, inputs, targets, loss: str):
-    """Mean batch loss plus parameter and input gradients.
+def loss_gradients(net: Network, inputs, targets):
+    """Mean batch cross-entropy and its input gradient; returns
+    ``(loss, grad_inputs)``.
 
-    Returns ``(loss, [(grad_w, grad_b) per layer], grad_inputs)``.
-    For ``cross_entropy`` the loss is softmax cross-entropy on the final
-    pre-activation logits and ``targets`` are integer class indices; for
-    ``mse`` targets are vectors shaped like the output. The parameter
-    gradients are the layers' views of ``net.grads``: they are valid
-    until the next backward pass on ``net`` overwrites them.
+    ``targets`` are integer class indices. The parameter gradients are
+    written into ``net.grads`` (the layers' ``grad_weights`` and
+    ``grad_bias``); they are valid until the next backward pass on
+    ``net`` overwrites them.
     """
-    _check_loss(loss)
     pre, post = net.forward_cached(inputs)
-    cross_entropy = loss == "cross_entropy"
-    value, out_grad = _loss_and_output_grad(
-        pre[-1] if cross_entropy else post[-1], targets, loss)
-    input_grad = _backward(net, pre, post, out_grad, cross_entropy)
-    return value, [(l.grad_weights, l.grad_bias) for l in net.layers], input_grad
+    value, out_grad = _loss_and_output_grad(pre[-1], targets)
+    return value, _backward(net, pre, post, out_grad)
 
 
-def _backward(net, pre, post, out_grad, skip_final_activation):
-    """Backpropagate ``out_grad``: write the parameter gradients into
-    ``net.grads`` and return the gradient with respect to the inputs."""
+def _backward(net, pre, post, out_grad):
+    """Backpropagate ``out_grad``, the loss gradient with respect to the
+    head's outputs: write the parameter gradients into ``net.grads`` and
+    return the gradient with respect to the inputs."""
     delta = out_grad
-    if not skip_final_activation:
-        delta = delta * _activate_grad(pre[-1], net.layers[-1].activation)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         np.matmul(delta.T, post[i], out=layer.grad_weights)
         np.sum(delta, axis=0, out=layer.grad_bias)
-        if i > 0:
-            delta = (delta @ layer.weights) * _activate_grad(
-                pre[i - 1], net.layers[i - 1].activation
-            )
-        else:
-            delta = delta @ layer.weights
+        delta = delta @ layer.weights
+        if i > 0:  # through the ReLU below
+            delta = delta * (pre[i - 1] > 0).astype(pre[i - 1].dtype)
     return delta
 
 
@@ -338,12 +275,12 @@ def apply_gradients(net: Network, state: AdadeltaState) -> None:
     adadelta_update(net.params, net.grads, state)
 
 
-def train_step(net: Network, batch_inputs, batch_targets, loss: str,
+def train_step(net: Network, batch_inputs, batch_targets,
                state: AdadeltaState) -> float:
     """One backprop + Adadelta step; returns the pre-update mean batch loss."""
-    value, _, _ = loss_gradients(net, batch_inputs, batch_targets, loss)
+    value, _ = loss_gradients(net, batch_inputs, batch_targets)
     if not np.isfinite(value):
-        raise TrainingDivergedError(f"non-finite {loss} loss: {value}")
+        raise TrainingDivergedError(f"non-finite cross-entropy loss: {value}")
     apply_gradients(net, state)
     return value
 
@@ -359,7 +296,7 @@ def extend_output_layer(net: Network, rng) -> Network:
     sizes[-1] += 1
     old, last = net.params, net.layers[-1]
     kept = old.size - last.weights.size - last.bias.size
-    net._allocate(sizes, [l.activation for l in net.layers], old.dtype)
+    net._allocate(sizes, old.dtype)
     net.params[:kept] = old[:kept]
     _init_layer(net.layers[-1], rng)
     return net

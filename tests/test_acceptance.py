@@ -23,6 +23,7 @@ from driftbench.evaluation import prequential_run, score_detection
 from driftbench.nn import (
     AdadeltaState,
     Network,
+    _backward,
     adadelta_update,
     batch_loss,
     loss_gradients,
@@ -54,26 +55,43 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(0)
     h, worst = 1e-5, 0.0
     for trial in range(20):
-        sizes = [int(rng.integers(2, 5)) for _ in range(3)]
-        loss = ("mse", "cross_entropy")[trial % 2]
-        acts = [rng.choice(["relu", "sigmoid", "linear"]),
-                "linear" if loss == "cross_entropy" else "sigmoid"]
-        net = Network(sizes, acts, np.random.default_rng(trial))
+        # the one architecture, ReLU hidden layers under a linear head,
+        # with 1 to 3 layers
+        sizes = [int(rng.integers(2, 5)) for _ in range(rng.integers(2, 5))]
+        net = Network(sizes, np.random.default_rng(trial))
+        # nonzero biases: under zero ones, a row that no unit of a hidden
+        # layer passes gives the next layer pre-activations of exactly 0,
+        # the ReLU's kink, where no gradient exists to check
+        for layer in net.layers:
+            layer.bias[...] = rng.normal(0.0, 0.5, layer.bias.shape)
         inputs = rng.normal(size=(4, sizes[0]))
-        if loss == "mse":
-            targets = rng.normal(size=(4, sizes[-1]))
-        else:
+        if trial % 2:
+            # the discriminator's loss: cross entropy, by loss_gradients
             targets = rng.integers(0, sizes[-1], size=4)
-        _, analytic, _ = loss_gradients(net, inputs, targets, loss)
-        for layer, (grad_w, grad_b) in zip(net.layers, analytic):
-            for param, grad in ((layer.weights, grad_w), (layer.bias, grad_b)):
+            loss_gradients(net, inputs, targets)
+
+            def loss():
+                return batch_loss(net, inputs, targets)
+        else:
+            # the generator's: the mean squared error of its caller,
+            # backpropagated by _backward from the output gradient
+            targets = rng.normal(size=(4, sizes[-1]))
+            pre, post = net.forward_cached(inputs)
+            out = post[-1]
+            _backward(net, pre, post, 2.0 * (out - targets) / out.size)
+
+            def loss():
+                return float(np.mean((net.forward(inputs) - targets) ** 2))
+        for layer in net.layers:
+            for param, grad in ((layer.weights, layer.grad_weights),
+                                (layer.bias, layer.grad_bias)):
                 flat = param.ravel()
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + h
-                    up = batch_loss(net, inputs, targets, loss)
+                    up = loss()
                     flat[i] = orig - h
-                    down = batch_loss(net, inputs, targets, loss)
+                    down = loss()
                     flat[i] = orig
                     numeric = (up - down) / (2.0 * h)
                     denom = max(abs(numeric), 1e-6)

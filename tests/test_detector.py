@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import driftbench.detector as detector_module
 from driftbench.detector import (
     CONSENSUS_HEAD,
+    DISCRIMINATOR_HIDDEN,
+    GENERATOR_HIDDEN,
     DetectorConfig,
     DistributionRegistry,
     DriftGanDetector,
@@ -142,7 +144,7 @@ class StubDiscriminator:
     def output_size(self):
         return self.n_out
 
-    def logits(self, batch):
+    def forward(self, batch):
         out = np.zeros((len(batch), self.n_out))
         for i, row in enumerate(batch):
             out[i, self.id_of_row(row)] = 1.0
@@ -152,7 +154,7 @@ class StubDiscriminator:
 def test_classify_batch_ties_resolve_to_lowest_id():
     stub = StubDiscriminator(lambda row: 0, 3)
     ties = np.zeros((2, 3))  # all-equal scores
-    stub.logits = lambda batch: np.ones((len(batch), 3))
+    stub.forward = lambda batch: np.ones((len(batch), 3))
     assert classify_batch(stub, ties) == [0, 0]
 
 
@@ -161,13 +163,13 @@ def test_classify_batch_ties_resolve_to_lowest_id():
     (np.float32, 20.0, 25.0),
 ])
 def test_classify_batch_takes_the_argmax_of_the_logits(dtype, low, high):
-    # the sigmoid rounds both logits to 1.0, so an argmax over the
-    # outputs ties and returns id 0
-    net = Network([2, 2], ["sigmoid"], np.random.default_rng(0), dtype)
+    # logits large enough that a squashing output (a sigmoid rounds
+    # both to 1.0) would tie them; the linear head keeps them apart
+    net = Network([2, 2], np.random.default_rng(0), dtype)
     net.layers[0].weights[...] = np.eye(2)
     net.layers[0].bias[...] = 0.0
     batch = np.array([[low, high], [high, low]])
-    assert np.all(net.forward(batch) == 1.0)
+    assert np.array_equal(net.forward(batch), batch.astype(dtype))
     assert classify_batch(net, batch) == [1, 0]
 
 
@@ -301,13 +303,13 @@ def test_detect_needs_the_rows_after_the_head():
 
 def test_no_drift_batch_forwards_only_the_head():
     det = detector_with_stub(lambda row: 1, current=1)
-    net = Network([4, 16, 3], ["relu", "sigmoid"], np.random.default_rng(0))
+    net = Network([4, 16, 3], np.random.default_rng(0))
     batch = standardize(np.random.default_rng(1).normal(size=(100, 4)))
     head = classify_batch(net, batch[:CONSENSUS_HEAD])
     assert head[0] != 1 and len(set(head)) > 1  # a disagreeing head
     rows = []
-    logits = net.logits
-    net.logits = lambda x: rows.append(len(x)) or logits(x)
+    forward = net.forward
+    net.forward = lambda x: rows.append(len(x)) or forward(x)
     det.discriminator = net
     assert det.detect(batch, 199) is None
     assert rows == [CONSENSUS_HEAD]
@@ -466,9 +468,10 @@ def test_train_gan_retries_a_divergence_on_a_fresh_pair(monkeypatch):
     assert generator is not given[0] and discriminator is not given[1]
     assert (generator.input_size, generator.output_size,
             discriminator.input_size, discriminator.output_size) == (16, 4, 4, 3)
-    assert [l.activation for l in generator.layers] == ["relu", "relu", "linear"]
-    assert [l.activation for l in discriminator.layers] == ["relu", "relu",
-                                                            "linear"]
+    assert [l.weights.shape[0] for l in generator.layers] == [
+        *GENERATOR_HIDDEN, 4]
+    assert [l.weights.shape[0] for l in discriminator.layers] == [
+        *DISCRIMINATOR_HIDDEN, 3]
 
 
 def test_train_gan_gives_up_after_two_divergences(monkeypatch):

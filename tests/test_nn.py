@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from driftbench.nn import (
-    ACTIVATIONS,
     ADADELTA_BLOCK,
     ADADELTA_DECAY,
     AdadeltaState,
     Network,
     TrainingDivergedError,
-    _activate,
+    _backward,
     adadelta_update,
     apply_gradients,
     batch_loss,
@@ -23,73 +22,82 @@ from driftbench.nn import (
 )
 
 
-def small_net(sizes, activations, seed=0):
-    return Network(sizes, activations, np.random.default_rng(seed))
+def small_net(sizes, seed=0):
+    return Network(sizes, np.random.default_rng(seed))
 
 
 # -- forward pass -----------------------------------------------------------
 
 
 def test_forward_identity_linear_layer():
-    net = small_net([3, 3], ["linear"])
+    net = small_net([3, 3])
     net.layers[0].weights[...] = np.eye(3)
     net.layers[0].bias[...] = np.zeros(3)
-    x = np.array([1.5, -2.0, 0.25])
+    x = np.array([[1.5, -2.0, 0.25]])
     assert np.allclose(net.forward(x), x)
 
 
 def test_forward_hand_computed_two_layer():
     # first layer relu(Wx + b), second layer linear
-    net = small_net([2, 2, 1], ["relu", "linear"])
+    net = small_net([2, 2, 1])
     net.layers[0].weights[...] = np.array([[1.0, -1.0], [0.5, 0.5]])
     net.layers[0].bias[...] = np.array([0.0, 1.0])
     net.layers[1].weights[...] = np.array([[2.0, -3.0]])
     net.layers[1].bias[...] = np.array([0.25])
-    x = np.array([2.0, 1.0])
+    x = np.array([[2.0, 1.0]])
     hidden = np.maximum([2.0 - 1.0, 1.0 + 1.5], 0.0)  # [1, 2.5]
     expected = 2.0 * hidden[0] - 3.0 * hidden[1] + 0.25
-    assert np.allclose(net.forward(x), [expected])
+    assert np.allclose(net.forward(x), [[expected]])
 
 
 def test_forward_batch_matches_single():
-    net = small_net([4, 5, 3], ["relu", "sigmoid"], seed=7)
+    net = small_net([4, 5, 3], seed=7)
     rng = np.random.default_rng(1)
     batch = rng.normal(size=(6, 4))
-    rows = np.array([net.forward(row) for row in batch])
+    rows = np.vstack([net.forward(row[None, :]) for row in batch])
     assert np.allclose(net.forward(batch), rows)
 
 
-def test_forward_is_the_activation_of_the_logits():
+def test_forward_is_relu_hidden_layers_under_a_linear_head():
     batch = np.random.default_rng(2).normal(size=(32, 3))
     for dtype in (np.float64, np.float32):
-        for activation in ACTIVATIONS:
-            net = Network([3, 8, 5], ["relu", activation],
-                          np.random.default_rng(3), dtype)
-            for x in (batch, batch[0]):
-                out = net.forward(x)
-                assert out.dtype == dtype
-                assert out.shape == x.shape[:-1] + (5,)
-                assert np.array_equal(out, _activate(net.logits(x), activation))
+        net = Network([3, 8, 6, 5], np.random.default_rng(3), dtype)
+        out = net.forward(batch)
+        assert out.dtype == dtype
+        assert out.shape == (32, 5)
+        expected = batch.astype(dtype)
+        for layer in net.layers[:-1]:
+            expected = np.maximum(expected @ layer.weights.T + layer.bias, 0.0)
+        head = net.layers[-1]
+        expected = expected @ head.weights.T + head.bias
+        assert np.any(expected < 0.0)  # no activation on the head
+        assert np.array_equal(out, expected)
+        pre, post = net.forward_cached(batch)
+        assert np.array_equal(pre[-1], out) and np.array_equal(post[-1], out)
 
 
 def test_forward_rejects_wrong_width():
-    net = small_net([3, 2], ["linear"])
+    net = small_net([3, 2])
     with pytest.raises(ValueError):
-        net.forward(np.zeros(4))
+        net.forward(np.zeros((1, 4)))
+
+
+def test_forward_rejects_a_single_vector():
+    net = small_net([3, 2])
+    with pytest.raises(ValueError):
+        net.forward(np.zeros(3))
 
 
 def test_constructor_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        Network([3], ["linear"], rng)
+        Network([3], rng)
     with pytest.raises(ValueError):
-        Network([3, 2], ["linear", "relu"], rng)
-    with pytest.raises(ValueError):
-        Network([3, 2], ["softplus"], rng)
+        Network([], rng)
 
 
 def test_init_ranges():
-    net = small_net([100, 50], ["relu"], seed=11)
+    net = small_net([100, 50], seed=11)
     limit = 1.0 / math.sqrt(100)
     assert np.all(np.abs(net.layers[0].weights) <= limit)
     assert np.all(net.layers[0].bias == 0.0)
@@ -97,7 +105,7 @@ def test_init_ranges():
 
 def test_layer_arrays_cannot_be_rebound():
     # a rebound array would leave params (and the optimizer) behind
-    net = small_net([3, 3], ["linear"])
+    net = small_net([3, 3])
     with pytest.raises(dataclasses.FrozenInstanceError):
         net.layers[0].weights = np.eye(3)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -107,7 +115,8 @@ def test_layer_arrays_cannot_be_rebound():
 # -- gradients --------------------------------------------------------------
 
 
-def _numeric_param_grads(net, inputs, targets, loss, h=1e-5):
+def _numeric_param_grads(net, loss, h=1e-5):
+    """Central differences of ``loss()`` in every parameter of ``net``."""
     grads = []
     for layer in net.layers:
         for param in (layer.weights, layer.bias):
@@ -116,116 +125,122 @@ def _numeric_param_grads(net, inputs, targets, loss, h=1e-5):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = batch_loss(net, inputs, targets, loss)
+                up = loss()
                 flat[i] = orig - h
-                down = batch_loss(net, inputs, targets, loss)
+                down = loss()
                 flat[i] = orig
                 grad.ravel()[i] = (up - down) / (2.0 * h)
             grads.append(grad)
     return grads
 
 
+def _mse_backward(net, inputs, targets):
+    """The generator's backward pass: ``_backward`` under the gradient of
+    the mean squared error with respect to the head's outputs."""
+    pre, post = net.forward_cached(inputs)
+    out = post[-1]
+    return _backward(net, pre, post, 2.0 * (out - targets) / out.size)
+
+
+# The cross entropy is nn's loss. The mean squared error is the
+# generator's, computed by its caller and backpropagated by _backward.
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
 def test_gradients_match_finite_differences(loss):
     rng = np.random.default_rng(5)
-    net = small_net([3, 6, 4], ["relu", "sigmoid" if loss == "mse" else "linear"],
-                    seed=5)
+    net = small_net([3, 6, 4], seed=5)
     inputs = rng.normal(size=(7, 3))
     if loss == "mse":
-        targets = rng.normal(size=(7, 4)) * 0.5 + 0.5
+        targets = rng.normal(size=(7, 4))
+        _mse_backward(net, inputs, targets)
+        numeric = _numeric_param_grads(
+            net, lambda: float(np.mean((net.forward(inputs) - targets) ** 2)))
     else:
         targets = rng.integers(0, 4, size=7)
-    _, analytic, _ = loss_gradients(net, inputs, targets, loss)
-    numeric = _numeric_param_grads(net, inputs, targets, loss)
-    flat_analytic = [g for pair in analytic for g in pair]
-    for a, n in zip(flat_analytic, numeric):
+        loss_gradients(net, inputs, targets)
+        numeric = _numeric_param_grads(
+            net, lambda: batch_loss(net, inputs, targets))
+    analytic = [g for l in net.layers for g in (l.grad_weights, l.grad_bias)]
+    for a, n in zip(analytic, numeric):
         scale = np.maximum(np.abs(n), 1e-8)
         assert np.max(np.abs(a - n) / scale) < 1e-4
 
 
 def test_input_gradient_matches_finite_differences():
-    net = small_net([4, 5, 3], ["relu", "sigmoid"], seed=9)
+    net = small_net([4, 5, 3], seed=9)
     rng = np.random.default_rng(4)
     inputs = rng.normal(size=(3, 4))
     targets = rng.integers(0, 3, size=3)
-    _, _, grad = loss_gradients(net, inputs, targets, "cross_entropy")
+    _, grad = loss_gradients(net, inputs, targets)
     h = 1e-5
     numeric = np.zeros_like(inputs)
     for i in range(inputs.shape[0]):
         for j in range(inputs.shape[1]):
             orig = inputs[i, j]
             inputs[i, j] = orig + h
-            up = batch_loss(net, inputs, targets, "cross_entropy")
+            up = batch_loss(net, inputs, targets)
             inputs[i, j] = orig - h
-            down = batch_loss(net, inputs, targets, "cross_entropy")
+            down = batch_loss(net, inputs, targets)
             inputs[i, j] = orig
             numeric[i, j] = (up - down) / (2.0 * h)
     assert np.allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
 
 def test_loss_gradients_validation():
-    net = small_net([2, 3], ["sigmoid"])
-    with pytest.raises(ValueError):
-        loss_gradients(net, np.zeros((2, 2)), np.zeros((2, 2)), "hinge")
-    with pytest.raises(ValueError):
-        loss_gradients(net, np.zeros((0, 2)), np.zeros((0, 3)), "mse")
-    with pytest.raises(ValueError):  # mse target shape mismatch
-        loss_gradients(net, np.zeros((2, 2)), np.zeros((2, 2)), "mse")
+    net = small_net([2, 3])
+    with pytest.raises(ValueError):  # empty batch
+        loss_gradients(net, np.zeros((0, 2)), [])
+    with pytest.raises(ValueError):  # one label short
+        loss_gradients(net, np.zeros((2, 2)), [0])
     with pytest.raises(ValueError):  # class index out of range
-        loss_gradients(net, np.zeros((2, 2)), [0, 3], "cross_entropy")
+        loss_gradients(net, np.zeros((2, 2)), [0, 3])
 
 
 def test_loss_gradients_are_views_of_grads():
-    net = small_net([3, 5, 2], ["relu", "sigmoid"], seed=1)
-    _, grads, _ = loss_gradients(net, np.ones((4, 3)), np.zeros((4, 2)), "mse")
-    for grad_w, grad_b in grads:
-        assert np.shares_memory(grad_w, net.grads)
-        assert np.shares_memory(grad_b, net.grads)
-    assert sum(g.size for pair in grads for g in pair) == net.grads.size
+    net = small_net([3, 5, 2], seed=1)
+    loss_gradients(net, np.ones((4, 3)), [0, 1, 1, 0])
+    assert np.any(net.grads != 0.0)
+    for layer in net.layers:
+        assert np.shares_memory(layer.grad_weights, net.grads)
+        assert np.shares_memory(layer.grad_bias, net.grads)
+    assert sum(l.grad_weights.size + l.grad_bias.size
+               for l in net.layers) == net.grads.size
 
 
-def _targets(loss, rng, n, width):
-    if loss == "mse":
-        return rng.normal(size=(n, width))
-    return rng.integers(0, width, size=n)
-
-
-@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
-def test_batch_loss_equals_loss_gradients_and_leaves_grads(loss):
-    net = small_net([3, 6, 4], ["relu", "sigmoid"], seed=4)
+def test_batch_loss_equals_loss_gradients_and_leaves_grads():
+    net = small_net([3, 6, 4], seed=4)
     rng = np.random.default_rng(6)
-    inputs, targets = rng.normal(size=(9, 3)), _targets(loss, rng, 9, 4)
-    value, _, _ = loss_gradients(net, inputs, targets, loss)
+    inputs, targets = rng.normal(size=(9, 3)), rng.integers(0, 4, size=9)
+    value, _ = loss_gradients(net, inputs, targets)
     grads = net.grads.copy()
-    assert batch_loss(net, inputs, targets, loss) == value
+    assert batch_loss(net, inputs, targets) == value
     # a batch whose gradients would differ leaves net.grads as it was
-    batch_loss(net, rng.normal(size=(5, 3)), _targets(loss, rng, 5, 4), loss)
+    batch_loss(net, rng.normal(size=(5, 3)), rng.integers(0, 4, size=5))
     assert np.array_equal(net.grads, grads)
 
 
-@pytest.mark.parametrize("loss, inputs, targets", [
-    ("hinge", np.zeros((2, 2)), np.zeros((2, 3))),
-    ("mse", np.zeros((0, 2)), np.zeros((0, 3))),
-    ("mse", np.zeros((2, 2)), np.zeros((2, 2))),
-    ("cross_entropy", np.zeros((2, 2)), [0, 3]),
-    ("cross_entropy", np.zeros((2, 2)), [0]),
-])
-def test_batch_loss_raises_as_loss_gradients(loss, inputs, targets):
-    net = small_net([2, 3], ["sigmoid"])
+@pytest.mark.parametrize("inputs, targets", [
+    (np.zeros((0, 2)), []),
+    (np.zeros((2, 2)), [0, 3]),
+    (np.zeros((2, 2)), [0]),
+    (np.zeros(2), [0]),
+], ids=["empty_batch", "class_out_of_range", "one_label_short",
+        "single_vector"])
+def test_batch_loss_raises_as_loss_gradients(inputs, targets):
+    net = small_net([2, 3])
     with pytest.raises(ValueError) as expected:
-        loss_gradients(net, inputs, targets, loss)
+        loss_gradients(net, inputs, targets)
     with pytest.raises(ValueError) as raised:
-        batch_loss(net, inputs, targets, loss)
+        batch_loss(net, inputs, targets)
     assert str(raised.value) == str(expected.value)
 
 
 def test_cross_entropy_value_oracle():
     # single linear layer, identity weights: logits == inputs
-    net = small_net([2, 2], ["linear"])
+    net = small_net([2, 2])
     net.layers[0].weights[...] = np.eye(2)
     net.layers[0].bias[...] = np.zeros(2)
     x = np.array([[2.0, 0.0]])
-    value = batch_loss(net, x, [0], "cross_entropy")
+    value = batch_loss(net, x, [0])
     expected = -math.log(math.exp(2.0) / (math.exp(2.0) + 1.0))
     assert abs(value - expected) < 1e-12
 
@@ -234,35 +249,37 @@ def test_cross_entropy_value_oracle():
 def test_cross_entropy_is_finite_where_the_label_probability_underflows(dtype):
     # softmax([0, 1000])[0] = exp(-1000) is 0 in either dtype; the loss
     # is exactly 1000 and the gradient pushes the logits apart by 1
-    net = Network([2, 2], ["linear"], np.random.default_rng(0), dtype)
+    net = Network([2, 2], np.random.default_rng(0), dtype)
     net.layers[0].weights[...] = np.eye(2)
     net.layers[0].bias[...] = 0.0
     x = np.array([[0.0, 1000.0]])
-    value, grads, input_grad = loss_gradients(net, x, [0], "cross_entropy")
+    value, input_grad = loss_gradients(net, x, [0])
     assert value == 1000.0
-    assert batch_loss(net, x, [0], "cross_entropy") == 1000.0
+    assert batch_loss(net, x, [0]) == 1000.0
     assert np.array_equal(input_grad, [[-1.0, 1.0]])
-    assert all(np.all(np.isfinite(g)) for pair in grads for g in pair)
+    assert np.all(np.isfinite(net.grads))
 
 
 @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
 def test_float32_network_keeps_every_array_float32(loss):
     f32 = np.float32
-    net = Network([3, 6, 4], ["relu", "sigmoid"], np.random.default_rng(2),
-                  dtype=f32)
+    net = Network([3, 6, 4], np.random.default_rng(2), dtype=f32)
     assert net.params.dtype == net.grads.dtype == f32
     rng = np.random.default_rng(3)
     inputs = rng.normal(size=(5, 3))  # float64 in, cast by the network
-    targets = _targets(loss, rng, 5, 4)
     assert net.forward(inputs).dtype == f32
-    assert net.forward(inputs[0]).dtype == f32
-    assert net.logits(inputs).dtype == f32
     assert all(a.dtype == f32 for part in net.forward_cached(inputs)
                for a in part)
-    value, grads, input_grad = loss_gradients(net, inputs, targets, loss)
-    assert np.isfinite(value)
-    assert value == batch_loss(net, inputs, targets, loss)
-    assert all(g.dtype == f32 for pair in grads for g in pair)
+    if loss == "mse":  # the generator's targets are cast like its inputs
+        input_grad = _mse_backward(net, inputs,
+                                   rng.normal(size=(5, 4)).astype(f32))
+    else:
+        targets = rng.integers(0, 4, size=5)
+        value, input_grad = loss_gradients(net, inputs, targets)
+        assert np.isfinite(value)
+        assert value == batch_loss(net, inputs, targets)
+    assert all(a.dtype == f32 for l in net.layers
+               for a in (l.grad_weights, l.grad_bias))
     assert input_grad.dtype == f32
     state = AdadeltaState.for_param(net.params)
     apply_gradients(net, state)
@@ -322,8 +339,8 @@ def test_adadelta_rejects_a_parameter_it_cannot_update_in_place():
 
 
 def test_apply_gradients_steps_params_from_grads():
-    net = small_net([3, 4, 2], ["relu", "linear"], seed=3)
-    loss_gradients(net, np.ones((2, 3)), [0, 1], "cross_entropy")
+    net = small_net([3, 4, 2], seed=3)
+    loss_gradients(net, np.ones((2, 3)), [0, 1])
     state = AdadeltaState.for_param(net.params)
     expected = net.params.copy()
     reference_adadelta_update(expected, net.grads,
@@ -381,41 +398,40 @@ def test_adadelta_converges_on_quadratic():
 
 
 def test_train_step_reduces_convex_loss():
-    net = small_net([2, 1], ["linear"], seed=2)
+    # one linear layer on linearly separable classes: a convex loss
+    net = small_net([2, 2], seed=2)
     opt = AdadeltaState.for_param(net.params)
     rng = np.random.default_rng(8)
     x = rng.normal(size=(64, 2))
-    y = (x @ np.array([1.0, -2.0]))[:, None]
-    losses = [train_step(net, x, y, "mse", opt) for _ in range(300)]
+    y = (x @ np.array([1.0, -2.0]) > 0.0).astype(int)
+    losses = [train_step(net, x, y, opt) for _ in range(300)]
     assert losses[-1] < losses[0] * 0.5
 
 
 def test_train_step_raises_on_divergence():
-    net = small_net([2, 1], ["linear"])
+    net = small_net([2, 2])
     net.layers[0].weights[:] = np.inf
     opt = AdadeltaState.for_param(net.params)
-    with pytest.raises(TrainingDivergedError):
-        train_step(net, np.ones((1, 2)), np.ones((1, 1)), "mse", opt)
+    with pytest.raises(TrainingDivergedError), np.errstate(invalid="ignore"):
+        train_step(net, np.ones((1, 2)), [0], opt)  # inf - inf logits
 
 
 # -- output extension and serialization --------------------------------------
 
 
 def test_extend_output_layer_grows_and_preserves_lower_layers():
-    net = small_net([3, 5, 2], ["relu", "sigmoid"], seed=6)
+    net = small_net([3, 5, 2], seed=6)
     lower_w = net.layers[0].weights.copy()
     lower_b = net.layers[0].bias.copy()
     extend_output_layer(net, np.random.default_rng(1))
     assert net.output_size == 3
     assert np.array_equal(net.layers[0].weights, lower_w)
     assert np.array_equal(net.layers[0].bias, lower_b)
-    out = net.forward(np.ones(3))
-    assert out.shape == (3,)
-    assert np.all((out >= 0.0) & (out <= 1.0))  # still a sigmoid layer
+    assert net.forward(np.ones((1, 3))).shape == (1, 3)
 
 
 def test_extend_output_layer_rebuilds_views_into_new_buffers():
-    net = small_net([3, 5, 2], ["relu", "sigmoid"], seed=6)
+    net = small_net([3, 5, 2], seed=6)
     lower = net.params[:3 * 5 + 5].copy()
     extend_output_layer(net, np.random.default_rng(1))
     assert net.params.size == net.grads.size == (3 + 1) * 5 + (5 + 1) * 3
