@@ -228,8 +228,10 @@ def train_gan(registry: DistributionRegistry, config: DetectorConfig, rng,
 # Elements of one (rows, len(b), d) difference block in _nearest_distances.
 DISTANCE_BLOCK = 1 << 18
 # Rows of a consensus batch that detect classifies before the rest. With
-# OpenBLAS 0.3.31, an 8-row head and the rows after it get the float32
-# logits of the whole batch bit for bit (sgemm); a 1-row head goes
+# OpenBLAS 0.3.31 and nn's (in, out) weights, an 8-row head and the rows
+# after it get the float32 logits of the whole batch bit for bit (sgemm):
+# tests/test_detector.py checks it on the discriminator's widths with 2
+# to 5 outputs over standardized 100-row batches. A 1-row head goes
 # through gemv, and its logits differ from the batch's.
 CONSENSUS_HEAD = 8
 
@@ -337,9 +339,8 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
             # discriminator to call the fake by the imitated distribution's
             # id. The adversarial pull is capped relative to the prediction
             # gradient so it cannot drag fakes into a foreign real region.
-            # loss_gradients(discriminator, ...) overwrites
-            # discriminator.grads; that is safe because every
-            # discriminator step recomputes them before applying them.
+            # loss_gradients computes only the fakes' gradient and leaves
+            # discriminator.grads as the last discriminator step wrote them.
             mse_grad = 2.0 * (fake - next_batch) / len(fake)
             ce_value, ce_grad = loss_gradients(discriminator, fake, id_batch)
             mse_norm = float(np.linalg.norm(mse_grad))

@@ -9,6 +9,12 @@ under another loss (the detector's generator, under mean squared error)
 computes the gradient of that loss with respect to the head's outputs
 and passes it to ``_backward``.
 
+A backward pass computes only what its caller reads: ``_backward``
+writes the parameter gradients and not the inputs' gradient, and
+``loss_gradients`` returns the inputs' gradient (the detector's
+generator step pulls its fakes through the discriminator by it) and
+writes no parameter gradient.
+
 Everything runs on numpy arrays; there is no autodiff graph. Inputs are
 batches, one row per example.
 
@@ -18,10 +24,13 @@ layout, ``Network.grads``. Both have the network's dtype (float64 unless
 the constructor is given another); inputs are cast to it, and every
 temporary of the forward pass, the backward pass and Adadelta follows
 it. A layer's ``weights``/``bias`` are reshaped views into ``params``
-and its ``grad_weights``/``grad_bias`` views into ``grads``. A backward
-pass writes the gradients into ``grads`` in place; they are valid until
-the next backward pass on that network. Adadelta updates ``params`` in
-one pass over the flat buffers.
+and its ``grad_weights``/``grad_bias`` views into ``grads``. Weights are
+stored ``(fan_in, fan_out)``, so a layer computes ``x @ weights + bias``
+and the forward pass hands BLAS no transposed operand; for the few-row
+batches a detector classifies, OpenBLAS runs a transposed operand at
+about half speed. ``_backward`` writes the gradients into ``grads`` in
+place; they are valid until the next backward pass on that network.
+Adadelta updates ``params`` in one pass over the flat buffers.
 """
 
 from __future__ import annotations
@@ -40,9 +49,9 @@ class Layer:
     """One dense layer. Frozen: its arrays are views into the network's
     buffers and are written in place, never rebound."""
 
-    weights: np.ndarray  # (out, in), a view into Network.params
+    weights: np.ndarray  # (in, out), a C-contiguous view into Network.params
     bias: np.ndarray  # (out,), a view into Network.params
-    grad_weights: np.ndarray  # (out, in), a view into Network.grads
+    grad_weights: np.ndarray  # (in, out), a C-contiguous view into Network.grads
     grad_bias: np.ndarray  # (out,), a view into Network.grads
 
 
@@ -51,7 +60,7 @@ def _layer_views(buffer: np.ndarray, sizes) -> list:
     views, offset = [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         end = offset + fan_out * fan_in
-        views.append((buffer[offset:end].reshape(fan_out, fan_in),
+        views.append((buffer[offset:end].reshape(fan_in, fan_out),
                       buffer[end:end + fan_out]))
         offset = end + fan_out
     return views
@@ -61,10 +70,12 @@ def _init_layer(layer: Layer, rng) -> None:
     """Draw a freshly allocated layer's weights; its bias stays zero.
 
     The draw is float64 whatever the network's dtype and is cast on
-    assignment, so the dtype does not change the RNG stream."""
-    fan_out, fan_in = layer.weights.shape
+    assignment, so the dtype does not change the RNG stream. It is drawn
+    ``(fan_out, fan_in)`` and stored transposed, so every weight takes
+    the same value from a seed as under an ``(out, in)`` layout."""
+    fan_in, fan_out = layer.weights.shape
     limit = 1.0 / np.sqrt(fan_in)
-    layer.weights[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    layer.weights[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in)).T
 
 
 class Network:
@@ -98,11 +109,11 @@ class Network:
 
     @property
     def input_size(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.layers[0].weights.shape[0]
 
     @property
     def output_size(self) -> int:
-        return self.layers[-1].weights.shape[0]
+        return self.layers[-1].weights.shape[1]
 
     def _as_batch(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=self.params.dtype)
@@ -117,9 +128,9 @@ class Network:
         """The head's outputs (the logits) for a batch, one row per input."""
         out = self._as_batch(x)
         for layer in self.layers[:-1]:
-            out = np.maximum(out @ layer.weights.T + layer.bias, 0.0)
+            out = np.maximum(out @ layer.weights + layer.bias, 0.0)
         last = self.layers[-1]
-        return out @ last.weights.T + last.bias
+        return out @ last.weights + last.bias
 
     def forward_cached(self, x):
         """Forward pass keeping per-layer pre/post activations for backprop.
@@ -128,7 +139,7 @@ class Network:
         """
         pre, post = [], [self._as_batch(x)]
         for depth, layer in enumerate(self.layers, 1):
-            z = post[-1] @ layer.weights.T + layer.bias
+            z = post[-1] @ layer.weights + layer.bias
             pre.append(z)
             post.append(z if depth == len(self.layers) else np.maximum(z, 0.0))
         return pre, post
@@ -172,31 +183,39 @@ def batch_loss(net: Network, inputs, targets) -> float:
 
 
 def loss_gradients(net: Network, inputs, targets):
-    """Mean batch cross-entropy and its input gradient; returns
-    ``(loss, grad_inputs)``.
+    """Mean batch cross-entropy and its gradient with respect to the
+    inputs; returns ``(loss, grad_inputs)``.
 
-    ``targets`` are integer class indices. The parameter gradients are
-    written into ``net.grads`` (the layers' ``grad_weights`` and
-    ``grad_bias``); they are valid until the next backward pass on
-    ``net`` overwrites them.
+    ``targets`` are integer class indices. Only the inputs' gradient is
+    computed: ``net.grads`` is left as it was.
     """
-    pre, post = net.forward_cached(inputs)
-    value, out_grad = _loss_and_output_grad(pre[-1], targets)
-    return value, _backward(net, pre, post, out_grad)
+    pre, _ = net.forward_cached(inputs)
+    value, delta = _loss_and_output_grad(pre[-1], targets)
+    for i in range(len(net.layers) - 1, -1, -1):
+        delta = _to_inputs(delta, net.layers[i], pre[i - 1] if i else None)
+    return value, delta
 
 
 def _backward(net, pre, post, out_grad):
     """Backpropagate ``out_grad``, the loss gradient with respect to the
-    head's outputs: write the parameter gradients into ``net.grads`` and
-    return the gradient with respect to the inputs."""
+    head's outputs, and write the parameter gradients into ``net.grads``.
+    The gradient with respect to the inputs is not computed."""
     delta = out_grad
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        np.matmul(delta.T, post[i], out=layer.grad_weights)
+        np.matmul(post[i].T, delta, out=layer.grad_weights)
         np.sum(delta, axis=0, out=layer.grad_bias)
-        delta = delta @ layer.weights
-        if i > 0:  # through the ReLU below
-            delta = delta * (pre[i - 1] > 0).astype(pre[i - 1].dtype)
+        if i > 0:
+            delta = _to_inputs(delta, layer, pre[i - 1])
+
+
+def _to_inputs(delta, layer, pre_below=None):
+    """Carry ``delta``, the loss gradient at a layer's outputs, to its
+    inputs, and through the ReLU of the layer below when that layer's
+    pre-activation ``pre_below`` is given."""
+    delta = delta @ layer.weights.T
+    if pre_below is not None:
+        delta = delta * (pre_below > 0).astype(pre_below.dtype)
     return delta
 
 
@@ -278,9 +297,11 @@ def apply_gradients(net: Network, state: AdadeltaState) -> None:
 def train_step(net: Network, batch_inputs, batch_targets,
                state: AdadeltaState) -> float:
     """One backprop + Adadelta step; returns the pre-update mean batch loss."""
-    value, _ = loss_gradients(net, batch_inputs, batch_targets)
+    pre, post = net.forward_cached(batch_inputs)
+    value, out_grad = _loss_and_output_grad(pre[-1], batch_targets)
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite cross-entropy loss: {value}")
+    _backward(net, pre, post, out_grad)
     apply_gradients(net, state)
     return value
 
@@ -292,7 +313,7 @@ def extend_output_layer(net: Network, rng) -> Network:
     top keep their parameters; the whole final layer is redrawn from
     ``rng`` (a retrain always follows an extension).
     """
-    sizes = [net.input_size] + [l.weights.shape[0] for l in net.layers]
+    sizes = [net.input_size] + [l.weights.shape[1] for l in net.layers]
     sizes[-1] += 1
     old, last = net.params, net.layers[-1]
     kept = old.size - last.weights.size - last.bias.size

@@ -24,9 +24,9 @@ from driftbench.nn import (
     AdadeltaState,
     Network,
     _backward,
+    _loss_and_output_grad,
     adadelta_update,
     batch_loss,
-    loss_gradients,
 )
 from driftbench.strategies import make_strategy
 from driftbench.streams import (
@@ -66,9 +66,12 @@ def test_criterion_1_gradient_correctness():
             layer.bias[...] = rng.normal(0.0, 0.5, layer.bias.shape)
         inputs = rng.normal(size=(4, sizes[0]))
         if trial % 2:
-            # the discriminator's loss: cross entropy, by loss_gradients
+            # the discriminator's loss: cross entropy, backpropagated by
+            # _backward from its output gradient, as train_step does
             targets = rng.integers(0, sizes[-1], size=4)
-            loss_gradients(net, inputs, targets)
+            pre, post = net.forward_cached(inputs)
+            _backward(net, pre, post,
+                      _loss_and_output_grad(pre[-1], targets)[1])
 
             def loss():
                 return batch_loss(net, inputs, targets)

@@ -13,6 +13,7 @@ from driftbench.detector import (
     CONSENSUS_HEAD,
     DISCRIMINATOR_HIDDEN,
     GENERATOR_HIDDEN,
+    NETWORK_DTYPE,
     DetectorConfig,
     DistributionRegistry,
     DriftGanDetector,
@@ -315,6 +316,23 @@ def test_no_drift_batch_forwards_only_the_head():
     assert rows == [CONSENSUS_HEAD]
 
 
+@pytest.mark.parametrize("outputs", [2, 3, 4, 5])
+def test_head_and_rest_get_the_whole_batch_logits_bit_for_bit(outputs):
+    # detect decides from the head's logits and then the rest's exactly
+    # as from the whole batch's only because they are the same bits
+    rng = np.random.default_rng(outputs)
+    net = Network([4, *DISCRIMINATOR_HIDDEN, outputs], rng, NETWORK_DTYPE)
+    for layer in net.layers:  # trained discriminators have nonzero biases
+        layer.bias[...] = rng.normal(0.0, 0.1, layer.bias.shape)
+    for _ in range(3):
+        batch = standardize(rng.normal(size=(100, 4)))
+        whole = net.forward(batch)
+        head = net.forward(batch[:CONSENSUS_HEAD])
+        rest = net.forward(batch[CONSENSUS_HEAD:])
+        assert head.tobytes() == whole[:CONSENSUS_HEAD].tobytes()
+        assert rest.tobytes() == whole[CONSENSUS_HEAD:].tobytes()
+
+
 def test_inconsistent_discriminator_is_an_error():
     det = detector_with_stub(lambda row: 1, n_registered=2)
     det.discriminator = StubDiscriminator(lambda row: 1, 2)  # needs 3
@@ -446,6 +464,31 @@ def two_window_registry(config):
     return registry
 
 
+def test_generator_step_leaves_the_discriminator_gradients(monkeypatch):
+    # the generator step reads only the fakes' gradient through the
+    # discriminator: discriminator.grads stay as the last discriminator
+    # step wrote them
+    config = DetectorConfig(rho=20, gan_max_epochs=1)
+    written, kept = {}, []
+
+    def train_step(net, *args):
+        value = real_train_step(net, *args)
+        written["grads"] = net.grads.copy()
+        return value
+
+    def loss_gradients(net, inputs, targets):
+        result = real_loss_gradients(net, inputs, targets)
+        kept.append(net.grads.tobytes() == written["grads"].tobytes())
+        return result
+
+    real_train_step = detector_module.train_step
+    real_loss_gradients = detector_module.loss_gradients
+    monkeypatch.setattr(detector_module, "train_step", train_step)
+    monkeypatch.setattr(detector_module, "loss_gradients", loss_gradients)
+    train_gan(two_window_registry(config), config, np.random.default_rng(0))
+    assert kept and all(kept)
+
+
 def test_train_gan_retries_a_divergence_on_a_fresh_pair(monkeypatch):
     config = DetectorConfig(rho=20)
     registry = two_window_registry(config)
@@ -468,9 +511,9 @@ def test_train_gan_retries_a_divergence_on_a_fresh_pair(monkeypatch):
     assert generator is not given[0] and discriminator is not given[1]
     assert (generator.input_size, generator.output_size,
             discriminator.input_size, discriminator.output_size) == (16, 4, 4, 3)
-    assert [l.weights.shape[0] for l in generator.layers] == [
+    assert [l.weights.shape[1] for l in generator.layers] == [
         *GENERATOR_HIDDEN, 4]
-    assert [l.weights.shape[0] for l in discriminator.layers] == [
+    assert [l.weights.shape[1] for l in discriminator.layers] == [
         *DISCRIMINATOR_HIDDEN, 3]
 
 

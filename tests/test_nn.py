@@ -13,6 +13,7 @@ from driftbench.nn import (
     Network,
     TrainingDivergedError,
     _backward,
+    _loss_and_output_grad,
     adadelta_update,
     apply_gradients,
     batch_loss,
@@ -40,9 +41,9 @@ def test_forward_identity_linear_layer():
 def test_forward_hand_computed_two_layer():
     # first layer relu(Wx + b), second layer linear
     net = small_net([2, 2, 1])
-    net.layers[0].weights[...] = np.array([[1.0, -1.0], [0.5, 0.5]])
+    net.layers[0].weights[...] = np.array([[1.0, 0.5], [-1.0, 0.5]])
     net.layers[0].bias[...] = np.array([0.0, 1.0])
-    net.layers[1].weights[...] = np.array([[2.0, -3.0]])
+    net.layers[1].weights[...] = np.array([[2.0], [-3.0]])
     net.layers[1].bias[...] = np.array([0.25])
     x = np.array([[2.0, 1.0]])
     hidden = np.maximum([2.0 - 1.0, 1.0 + 1.5], 0.0)  # [1, 2.5]
@@ -67,9 +68,9 @@ def test_forward_is_relu_hidden_layers_under_a_linear_head():
         assert out.shape == (32, 5)
         expected = batch.astype(dtype)
         for layer in net.layers[:-1]:
-            expected = np.maximum(expected @ layer.weights.T + layer.bias, 0.0)
+            expected = np.maximum(expected @ layer.weights + layer.bias, 0.0)
         head = net.layers[-1]
-        expected = expected @ head.weights.T + head.bias
+        expected = expected @ head.weights + head.bias
         assert np.any(expected < 0.0)  # no activation on the head
         assert np.array_equal(out, expected)
         pre, post = net.forward_cached(batch)
@@ -112,6 +113,38 @@ def test_layer_arrays_cannot_be_rebound():
         net.layers[0].grad_bias = np.zeros(3)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_weights_are_contiguous_in_out_views_into_the_buffers(dtype):
+    sizes = [3, 5, 4, 2]
+    net = Network(sizes, np.random.default_rng(0), dtype)
+
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    offset = 0
+    for layer, fan_in, fan_out in zip(net.layers, sizes[:-1], sizes[1:]):
+        for array, buffer in ((layer.weights, net.params),
+                              (layer.grad_weights, net.grads)):
+            assert array.shape == (fan_in, fan_out)
+            assert array.flags.c_contiguous
+            assert array.base is buffer
+            assert address(array) == address(buffer) + offset * buffer.itemsize
+        offset += (fan_in + 1) * fan_out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_seeded_weights_are_the_transposed_out_in_draws(dtype):
+    # the layout does not change the RNG stream: each layer draws
+    # (out, in) from the seed in turn and stores the transpose
+    sizes = [4, 6, 5, 3]
+    net = Network(sizes, np.random.default_rng(5), dtype)
+    rng = np.random.default_rng(5)
+    for layer, fan_in, fan_out in zip(net.layers, sizes[:-1], sizes[1:]):
+        limit = 1.0 / np.sqrt(fan_in)
+        draw = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+        assert layer.weights.tobytes() == draw.T.astype(dtype).tobytes()
+
+
 # -- gradients --------------------------------------------------------------
 
 
@@ -139,7 +172,17 @@ def _mse_backward(net, inputs, targets):
     the mean squared error with respect to the head's outputs."""
     pre, post = net.forward_cached(inputs)
     out = post[-1]
-    return _backward(net, pre, post, 2.0 * (out - targets) / out.size)
+    _backward(net, pre, post, 2.0 * (out - targets) / out.size)
+
+
+def _cross_entropy_backward(net, inputs, targets):
+    """The discriminator's backward pass, as ``train_step`` runs it:
+    ``_backward`` under the cross-entropy gradient with respect to the
+    head's outputs. Returns the loss."""
+    pre, post = net.forward_cached(inputs)
+    value, out_grad = _loss_and_output_grad(pre[-1], targets)
+    _backward(net, pre, post, out_grad)
+    return value
 
 
 # The cross entropy is nn's loss. The mean squared error is the
@@ -156,7 +199,7 @@ def test_gradients_match_finite_differences(loss):
             net, lambda: float(np.mean((net.forward(inputs) - targets) ** 2)))
     else:
         targets = rng.integers(0, 4, size=7)
-        loss_gradients(net, inputs, targets)
+        _cross_entropy_backward(net, inputs, targets)
         numeric = _numeric_param_grads(
             net, lambda: batch_loss(net, inputs, targets))
     analytic = [g for l in net.layers for g in (l.grad_weights, l.grad_bias)]
@@ -185,6 +228,48 @@ def test_input_gradient_matches_finite_differences():
     assert np.allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
 
+def _full_backward(net, inputs, targets):
+    """One loop computing every parameter gradient and the input gradient,
+    the reference for the two passes nn splits it into. Returns the loss,
+    the input gradient and ``(grad_weights, grad_bias)`` per layer."""
+    pre, post = net.forward_cached(inputs)
+    value, delta = _loss_and_output_grad(pre[-1], targets)
+    grads = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        grads.insert(0, (post[i].T @ delta, delta.sum(axis=0)))
+        delta = delta @ layer.weights.T
+        if i > 0:
+            delta = delta * (pre[i - 1] > 0).astype(pre[i - 1].dtype)
+    return value, delta, grads
+
+
+@pytest.mark.parametrize("sizes, dtype", [
+    ([4, 1024, 1024, 3], np.float32),  # the detector's discriminator
+    ([5, 7, 6, 4], np.float64),
+])
+def test_split_backward_passes_equal_the_full_backward_bit_for_bit(sizes, dtype):
+    rng = np.random.default_rng(11)
+    net = Network(sizes, rng, dtype)
+    for layer in net.layers:
+        layer.bias[...] = rng.normal(0.0, 0.1, layer.bias.shape)
+    inputs = rng.normal(size=(16, sizes[0]))
+    targets = rng.integers(0, sizes[-1], size=16)
+    value, input_grad, grads = _full_backward(net, inputs, targets)
+
+    # loss_gradients: the same input gradient, and no parameter gradient
+    got_value, got_input_grad = loss_gradients(net, inputs, targets)
+    assert got_value == value
+    assert got_input_grad.tobytes() == input_grad.tobytes()
+    assert not np.any(net.grads)
+
+    # _backward: the same parameter gradients
+    assert _cross_entropy_backward(net, inputs, targets) == value
+    for layer, (grad_weights, grad_bias) in zip(net.layers, grads):
+        assert layer.grad_weights.tobytes() == grad_weights.tobytes()
+        assert layer.grad_bias.tobytes() == grad_bias.tobytes()
+
+
 def test_loss_gradients_validation():
     net = small_net([2, 3])
     with pytest.raises(ValueError):  # empty batch
@@ -197,7 +282,7 @@ def test_loss_gradients_validation():
 
 def test_loss_gradients_are_views_of_grads():
     net = small_net([3, 5, 2], seed=1)
-    loss_gradients(net, np.ones((4, 3)), [0, 1, 1, 0])
+    _cross_entropy_backward(net, np.ones((4, 3)), [0, 1, 1, 0])
     assert np.any(net.grads != 0.0)
     for layer in net.layers:
         assert np.shares_memory(layer.grad_weights, net.grads)
@@ -211,6 +296,7 @@ def test_batch_loss_equals_loss_gradients_and_leaves_grads():
     rng = np.random.default_rng(6)
     inputs, targets = rng.normal(size=(9, 3)), rng.integers(0, 4, size=9)
     value, _ = loss_gradients(net, inputs, targets)
+    _cross_entropy_backward(net, inputs, targets)
     grads = net.grads.copy()
     assert batch_loss(net, inputs, targets) == value
     # a batch whose gradients would differ leaves net.grads as it was
@@ -257,6 +343,7 @@ def test_cross_entropy_is_finite_where_the_label_probability_underflows(dtype):
     assert value == 1000.0
     assert batch_loss(net, x, [0]) == 1000.0
     assert np.array_equal(input_grad, [[-1.0, 1.0]])
+    _cross_entropy_backward(net, x, [0])
     assert np.all(np.isfinite(net.grads))
 
 
@@ -271,16 +358,16 @@ def test_float32_network_keeps_every_array_float32(loss):
     assert all(a.dtype == f32 for part in net.forward_cached(inputs)
                for a in part)
     if loss == "mse":  # the generator's targets are cast like its inputs
-        input_grad = _mse_backward(net, inputs,
-                                   rng.normal(size=(5, 4)).astype(f32))
+        _mse_backward(net, inputs, rng.normal(size=(5, 4)).astype(f32))
     else:
         targets = rng.integers(0, 4, size=5)
         value, input_grad = loss_gradients(net, inputs, targets)
         assert np.isfinite(value)
         assert value == batch_loss(net, inputs, targets)
+        assert input_grad.dtype == f32
+        assert _cross_entropy_backward(net, inputs, targets) == value
     assert all(a.dtype == f32 for l in net.layers
                for a in (l.grad_weights, l.grad_bias))
-    assert input_grad.dtype == f32
     state = AdadeltaState.for_param(net.params)
     apply_gradients(net, state)
     for a in (net.params, net.grads, state.avg_sq_grad, state.avg_sq_delta):
@@ -340,7 +427,11 @@ def test_adadelta_rejects_a_parameter_it_cannot_update_in_place():
 
 def test_apply_gradients_steps_params_from_grads():
     net = small_net([3, 4, 2], seed=3)
-    loss_gradients(net, np.ones((2, 3)), [0, 1])
+    # (rows of ones with these weights pass no hidden unit: every
+    # gradient would be zero and the step a no-op)
+    inputs = np.random.default_rng(0).normal(size=(4, 3))
+    _cross_entropy_backward(net, inputs, [0, 1, 1, 0])
+    assert np.any(net.grads != 0.0)
     state = AdadeltaState.for_param(net.params)
     expected = net.params.copy()
     reference_adadelta_update(expected, net.grads,
@@ -444,5 +535,5 @@ def test_extend_output_layer_rebuilds_views_into_new_buffers():
     # the top layer is one fresh draw, as in a newly built network
     limit = 1.0 / math.sqrt(5)
     draw = np.random.default_rng(1).uniform(-limit, limit, size=(3, 5))
-    assert np.array_equal(net.layers[1].weights, draw)
+    assert np.array_equal(net.layers[1].weights, draw.T)
     assert np.all(net.layers[1].bias == 0.0)
