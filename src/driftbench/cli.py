@@ -167,6 +167,8 @@ def cmd_compare(args) -> int:
         kinds = list(STRATEGY_KINDS)
     else:
         kinds = [k.strip() for k in args.strategies.split(",") if k.strip()]
+        if not kinds:
+            raise UsageError("--strategies names no strategy")
     for kind in kinds:
         if kind not in STRATEGY_KINDS:
             raise UsageError(
@@ -174,6 +176,8 @@ def cmd_compare(args) -> int:
             )
     if args.max_instances is not None and args.max_instances < 1:
         raise UsageError("--max-instances must be at least 1")
+    if args.retrain_interval is not None and args.retrain_interval < 1:
+        raise UsageError("--retrain-interval must be at least 1")
     instances, meta = streams.load(args.dataset, args.format, args.max_instances)
     meta = _load_ground_truth(args, meta)
     config = _detector_config(args)

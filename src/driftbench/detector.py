@@ -59,6 +59,7 @@ DISC_STEPS = 3           # discriminator updates per generator update
 CE_GRAD_CLIP = 0.5       # CE grad norm cap, relative to the MSE grad
 PROBE_RADIUS_SCALE = 6.0  # probe keep-out, in mean NN distances
 REAL_JITTER_SCALE = 2.5   # window-vector jitter, in mean NN distances
+PER_DIST_CAP = 10000     # stored exemplars per distribution
 
 
 @dataclass
@@ -67,7 +68,6 @@ class DetectorConfig:
     batch_size: int = 100              # consensus batch size
     seq_len: int = 4                   # generator input sequence length
     historical_fraction: float = 1.0   # share of stored data reused on recurrence
-    per_dist_cap: int = 10000          # stored exemplars per distribution
     seed: int = 0
     gan_max_epochs: int = 200
     disc_loss_threshold: float = 0.1
@@ -81,8 +81,6 @@ class DetectorConfig:
             raise ValueError("historical_fraction must be in [0, 1]")
         if self.seq_len < 1:
             raise ValueError("seq_len must be >= 1")
-        if self.per_dist_cap < 1:
-            raise ValueError("per_dist_cap must be >= 1")
 
 
 @dataclass
@@ -392,7 +390,7 @@ class DriftGanDetector:
         self.config = config or DetectorConfig()
         self.config.validate()
         self.rng = np.random.default_rng(self.config.seed)
-        self.registry = DistributionRegistry(self.config.per_dist_cap)
+        self.registry = DistributionRegistry(PER_DIST_CAP)
         self.generator: Network | None = None
         self.discriminator: Network | None = None
         self._batch: list = []  # raw vectors since the last batch boundary

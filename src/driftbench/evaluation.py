@@ -97,9 +97,8 @@ def prequential_run(instances, strategy, *, dataset: str = "stream",
     strategy.initialize(instances[:rho])
     trace = []
     correct = 0
-    for inst in instances[rho:]:
-        prediction = strategy.step(inst.features, inst.label)
-        hit = prediction == inst.label
+    for x, y in instances[rho:]:
+        hit = strategy.step(x, y) == y
         correct += hit
         if keep_trace:
             trace.append(hit)

@@ -34,11 +34,11 @@ class Strategy:
         return []
 
     def initialize(self, instances) -> None:
-        """Train on the first rho labeled instances (not scored)."""
+        """Train on the first rho ``(x, y)`` instances (not scored)."""
         if len(instances) < self.rho:
             raise ValueError(f"need {self.rho} instances to initialize")
-        for inst in instances:
-            self.classifier.partial_fit(inst.features, inst.label)
+        for x, y in instances:
+            self.classifier.partial_fit(x, y)
         self._initialized = True
 
     def step(self, x, y: int) -> int:
@@ -77,7 +77,11 @@ class RegularRetrainStrategy(Strategy):
 
     def __init__(self, n_features, n_classes, rho=100, retrain_interval=None):
         super().__init__(n_features, n_classes, rho)
-        self.retrain_interval = retrain_interval or rho
+        if retrain_interval is None:
+            retrain_interval = rho
+        elif retrain_interval < 1:
+            raise ValueError("retrain_interval must be at least 1")
+        self.retrain_interval = retrain_interval
         self._window: deque = deque(maxlen=rho)
         self._since_retrain = 0
 
@@ -88,8 +92,7 @@ class RegularRetrainStrategy(Strategy):
 
     def initialize(self, instances) -> None:
         super().initialize(instances)
-        for inst in instances:
-            self._window.append((inst.features, inst.label))
+        self._window.extend(instances)
 
     def _learn(self, x, y: int) -> None:
         self.classifier.partial_fit(x, y)
@@ -127,9 +130,9 @@ class DriftGanStrategy(Strategy):
 
     def initialize(self, instances) -> None:
         super().initialize(instances)
-        self.detector.initialize([inst.features for inst in instances])
-        for inst in instances:
-            self.detector.add_exemplar(inst.features, inst.label)
+        self.detector.initialize([x for x, _ in instances])
+        for x, y in instances:
+            self.detector.add_exemplar(x, y)
 
     def _learn(self, x, y: int) -> None:
         self.classifier.partial_fit(x, y)

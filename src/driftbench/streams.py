@@ -19,8 +19,10 @@ formats share one set of data-row rules:
 - ARFF strips one layer of quotes from every value, so ``'red'`` and
   ``red`` are the same value. CSV values are taken as ``csv`` reads them.
 
-Every stream, loaded or synthetic, is a list of instances over the rows
-of one float64 ``(n, d)`` feature matrix.
+Every stream, loaded or synthetic, is a list of ``(features, label)``
+pairs: ``LabeledInstance`` tuples whose features are the rows of one
+float64 ``(n, d)`` matrix and whose labels are Python ints. They unpack
+as ``x, y`` and also name their fields ``features`` and ``label``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +42,9 @@ class StreamFormatError(ValueError):
     """Malformed stream file (carries the offending line number)."""
 
 
-@dataclass
-class LabeledInstance:
+class LabeledInstance(NamedTuple):
     features: np.ndarray
     label: int
-    index: int
 
 
 @dataclass
@@ -53,12 +54,6 @@ class StreamMetadata:
     n_instances: int
     change_points: list[int] = field(default_factory=list)
     segment_concepts: list[str] = field(default_factory=list)
-
-
-def _instances(features: np.ndarray, labels) -> list[LabeledInstance]:
-    """One instance per row of the ``(n, d)`` feature matrix."""
-    return [LabeledInstance(x, int(y), i)
-            for i, (x, y) in enumerate(zip(features, labels))]
 
 
 def _is_number(token: str) -> bool:
@@ -126,7 +121,8 @@ def _read_rows(rows, arity, nominal, max_instances):
         alphabet = sorted(set(keys))
     label_code = {key: i for i, key in enumerate(alphabet)}
     features = np.array(feats, dtype=float)
-    instances = _instances(features, [label_code[key] for key in keys])
+    instances = list(map(LabeledInstance, features,
+                         [label_code[key] for key in keys]))
     return instances, StreamMetadata(features.shape[1], alphabet, len(instances))
 
 
@@ -193,12 +189,12 @@ def write_csv(instances, path) -> None:
     path = Path(path)
     if not instances:
         raise ValueError("empty stream")
-    d = len(instances[0].features)
+    d = len(instances[0][0])
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"f{i}" for i in range(d)] + ["label"])
-        for inst in instances:
-            writer.writerow([repr(float(v)) for v in inst.features] + [inst.label])
+        for x, y in instances:
+            writer.writerow([repr(float(v)) for v in x] + [y])
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +262,12 @@ def synth_recurring(spec: SyntheticSpec, seed: int):
     segments = [spec.concepts[name].sample(rng, length)
                 for name, length in zip(spec.order, spec.segment_lengths)]
     features = np.concatenate([x for x, _ in segments], dtype=float)
-    labels = np.concatenate([y for _, y in segments])
+    labels = np.concatenate([y for _, y in segments]).tolist()
     # the stream end is not a change point
     change_points = list(accumulate(spec.segment_lengths))[:-1]
-    meta = StreamMetadata(features.shape[1], sorted(set(labels.tolist())),
+    meta = StreamMetadata(features.shape[1], sorted(set(labels)),
                           len(labels), change_points, list(spec.order))
-    return _instances(features, labels), meta
+    return list(map(LabeledInstance, features, labels)), meta
 
 
 def write_ground_truth(meta: StreamMetadata, path) -> None:

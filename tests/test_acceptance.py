@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from driftbench.detector import (
+    PER_DIST_CAP,
     DetectorConfig,
     DistributionRegistry,
     classify_batch,
@@ -176,7 +177,7 @@ def test_criterion_5_gan_training_audit():
         feats, _ = concept.sample(rng, 100)
         window = [standardize(v) for v in feats]
         config = DetectorConfig(seed=seed)
-        registry = DistributionRegistry(config.per_dist_cap)
+        registry = DistributionRegistry(PER_DIST_CAP)
         registry.add(window)
         registry.current = 1
         generator, discriminator = train_gan(registry, config, rng)
@@ -260,20 +261,19 @@ def test_criterion_7_strategy_ordering(recurring_suite):
 def test_criterion_8_accuracy_oracle():
     rng = np.random.default_rng(8)
     xs = rng.uniform(-1.0, 1.0, size=(120, 1))
-    instances = [LabeledInstance(x, int(x[0] > 0), i)
-                 for i, x in enumerate(xs)]
+    instances = [LabeledInstance(x, int(x[0] > 0)) for x in xs]
     strategy = make_strategy("regular_update", n_features=1, n_classes=2,
                              rho=20)
     report = prequential_run(instances, strategy, keep_trace=True)
 
     # independent recount: replay an identical tree over the same stream
     tree = HoeffdingTreeClassifier(n_features=1, n_classes=2)
-    for inst in instances[:20]:
-        tree.partial_fit(inst.features, inst.label)
+    for x, y in instances[:20]:
+        tree.partial_fit(x, y)
     correct = 0
-    for inst in instances[20:]:
-        correct += tree.predict(inst.features) == inst.label
-        tree.partial_fit(inst.features, inst.label)
+    for x, y in instances[20:]:
+        correct += tree.predict(x) == y
+        tree.partial_fit(x, y)
     recount = correct / 100
     trace_recount = sum(report.trace) / len(report.trace)
     verdict(8, report.accuracy == recount == trace_recount,

@@ -174,3 +174,28 @@ def test_max_instances_below_one_is_usage_error(tmp_path, capsys):
     ])
     assert code == EXIT_USAGE
     assert "--max-instances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", ["0", "-1"])
+def test_retrain_interval_below_one_is_usage_error(tmp_path, capsys, interval):
+    main(synth_args(tmp_path))
+    code = main([
+        "run", "--dataset", str(tmp_path / "toy.csv"),
+        "--strategy", "regular_retrain", "--rho", "20",
+        "--retrain-interval", interval, "--out", str(tmp_path / "results"),
+    ])
+    assert code == EXIT_USAGE
+    assert "--retrain-interval" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("strategies", [",", " , "])
+def test_compare_naming_no_strategy_is_usage_error(tmp_path, capsys, strategies):
+    main(synth_args(tmp_path))
+    code = main([
+        "compare", "--dataset", str(tmp_path / "toy.csv"),
+        "--strategies", strategies, "--out", str(tmp_path / "results"),
+    ])
+    assert code == EXIT_USAGE
+    assert "--strategies names no strategy" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()

@@ -14,6 +14,7 @@ from driftbench.detector import (
     DISCRIMINATOR_HIDDEN,
     GENERATOR_HIDDEN,
     NETWORK_DTYPE,
+    PER_DIST_CAP,
     DetectorConfig,
     DistributionRegistry,
     DriftGanDetector,
@@ -237,6 +238,28 @@ def test_detect_small_batch_buffers_until_rho(monkeypatch):
     assert np.array_equal(np.array(registered[0]), standardize(raw))
 
 
+def test_detect_large_batch_registers_its_last_rho_rows(monkeypatch):
+    config = DetectorConfig(rho=10, batch_size=12, seq_len=3)
+    det = DriftGanDetector(config)
+    det.registry.add(window(0, n=10))
+    det.registry.current = 1
+    det.discriminator = StubDiscriminator(lambda row: 0, 2)
+    det.instances_seen = 10
+    registered = []
+    monkeypatch.setattr(det, "register_distribution",
+                        lambda w: registered.append(np.array(w)) or 2)
+    raw = np.random.default_rng(2).normal(size=(12, 4))
+    assert [det.observe(x) for x in raw[:11]] == [None] * 11
+    assert registered == []
+    event = det.observe(raw[11])
+    assert (event.kind, event.dist_id, event.instance_index) == ("new", 2, 21)
+    # registered at this batch's boundary, from its last rho rows alone
+    [window_std] = registered
+    assert window_std.tobytes() == standardize(raw)[-10:].tobytes()
+    assert det._pending_window is None
+    assert det.observe(raw[0]) is None and len(registered) == 1
+
+
 def full_batch_decision(ids, current):
     """The consensus rule over every row of a batch: the id of the drift
     when all rows map to one id other than ``current``, else None."""
@@ -354,8 +377,6 @@ def test_config_validation():
         DetectorConfig(batch_size=0).validate()
     with pytest.raises(ValueError):
         DetectorConfig(historical_fraction=1.5).validate()
-    with pytest.raises(ValueError):
-        DetectorConfig(per_dist_cap=0).validate()
 
 
 # -- GAN training (single-seed smoke; the full audit runs in acceptance) ------
@@ -369,7 +390,7 @@ def concept_window(name, seed, n=100):
 
 def test_train_gan_separates_real_from_generated():
     config = DetectorConfig(seed=0)
-    registry = DistributionRegistry(config.per_dist_cap)
+    registry = DistributionRegistry(PER_DIST_CAP)
     registry.add(concept_window("A", seed=0, n=config.rho))
     registry.current = 1
     rng = np.random.default_rng(0)
@@ -393,7 +414,7 @@ def test_train_gan_separates_real_from_generated():
 
 def test_train_gan_warns_when_epochs_run_out(caplog):
     config = DetectorConfig(gan_max_epochs=1, disc_loss_threshold=1e-9)
-    registry = DistributionRegistry(config.per_dist_cap)
+    registry = DistributionRegistry(PER_DIST_CAP)
     registry.add(concept_window("A", seed=0, n=config.rho))
     registry.current = 1
     with caplog.at_level(logging.WARNING, logger="driftbench.detector"):
@@ -442,7 +463,7 @@ def test_training_arrays_match_the_row_by_row_reference(lengths, d, seq_len):
 
 def test_train_gan_continues_a_fitting_pair_and_rejects_one_that_does_not():
     config = DetectorConfig(rho=20, gan_max_epochs=1)
-    registry = DistributionRegistry(config.per_dist_cap)
+    registry = DistributionRegistry(PER_DIST_CAP)
     rng = np.random.default_rng(0)
     registry.add(concept_window("A", seed=0, n=config.rho))
     generator, discriminator = train_gan(registry, config, rng)
@@ -458,7 +479,7 @@ def test_train_gan_continues_a_fitting_pair_and_rejects_one_that_does_not():
 
 
 def two_window_registry(config):
-    registry = DistributionRegistry(config.per_dist_cap)
+    registry = DistributionRegistry(PER_DIST_CAP)
     registry.add(concept_window("A", seed=0, n=config.rho))
     registry.add(concept_window("B", seed=1, n=config.rho))
     return registry
@@ -569,7 +590,7 @@ def test_train_gan_rejects_empty_or_short_registry():
 
 def _train_gan_peak_mb(n_windows, d=12):
     config = DetectorConfig(rho=20, gan_max_epochs=1)
-    registry = DistributionRegistry(config.per_dist_cap)
+    registry = DistributionRegistry(PER_DIST_CAP)
     rng = np.random.default_rng(0)
     for i in range(n_windows):
         registry.add(standardize(rng.normal(i, 1.0, size=(config.rho, d))))

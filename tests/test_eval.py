@@ -22,7 +22,7 @@ from driftbench.strategies import make_strategy
 def rule_instances(n, seed=0):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1, 1, size=(n, 1))
-    return [LabeledInstance(x, int(x[0] > 0), i) for i, x in enumerate(xs)]
+    return [LabeledInstance(x, int(x[0] > 0)) for x in xs]
 
 
 def test_prequential_accuracy_matches_trace_recount():
@@ -38,8 +38,8 @@ def test_prequential_excludes_warmup_from_score():
     # all warmup labels are 1, all scored labels are 0: a tree that learned
     # the warmup predicts 1 and scores zero, proving the warmup is unscored
     instances = (
-        [LabeledInstance(np.zeros(1), 1, i) for i in range(10)]
-        + [LabeledInstance(np.zeros(1), 0, 10 + i) for i in range(5)]
+        [LabeledInstance(np.zeros(1), 1) for _ in range(10)]
+        + [LabeledInstance(np.zeros(1), 0) for _ in range(5)]
     )
     strategy = make_strategy("initial_learn", n_features=1, n_classes=2, rho=10)
     report = prequential_run(instances, strategy)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from driftbench.detector import DetectorConfig
+from driftbench.detector import DetectorConfig, DriftEvent
 from driftbench.strategies import STRATEGY_KINDS, make_strategy
 from driftbench.streams import (
     LabeledInstance,
@@ -14,9 +14,8 @@ from driftbench.streams import (
 from driftbench.tree import HoeffdingTreeClassifier
 
 
-def constant_stream(label, n, d=2, start=0):
-    return [LabeledInstance(np.full(d, float(label)), label, start + i)
-            for i in range(n)]
+def constant_stream(label, n, d=2):
+    return [LabeledInstance(np.full(d, float(label)), label) for _ in range(n)]
 
 
 def test_step_predicts_before_learning():
@@ -42,7 +41,7 @@ def test_initialize_requires_rho_instances():
 def test_initial_learn_never_updates():
     strategy = make_strategy("initial_learn", n_features=1, n_classes=2, rho=5)
     strategy.initialize(
-        [LabeledInstance(np.array([float(i)]), 0, i) for i in range(5)]
+        [LabeledInstance(np.array([float(i)]), 0) for i in range(5)]
     )
     probe = np.array([2.0])
     before = strategy.classifier.predict(probe)
@@ -56,21 +55,19 @@ def test_regular_update_equals_manual_tree_replay():
     rho, n = 20, 800
     xs = rng.uniform(-1, 1, size=(rho + n, 1))
     ys = (xs[:, 0] > 0).astype(int)
-    instances = [LabeledInstance(x, int(y), i)
-                 for i, (x, y) in enumerate(zip(xs, ys))]
+    instances = list(map(LabeledInstance, xs, ys.tolist()))
 
     strategy = make_strategy("regular_update", n_features=1, n_classes=2, rho=rho)
     strategy.initialize(instances[:rho])
-    strat_preds = [strategy.step(inst.features, inst.label)
-                   for inst in instances[rho:]]
+    strat_preds = [strategy.step(x, y) for x, y in instances[rho:]]
 
     tree = HoeffdingTreeClassifier(n_features=1, n_classes=2)
-    for inst in instances[:rho]:
-        tree.partial_fit(inst.features, inst.label)
+    for x, y in instances[:rho]:
+        tree.partial_fit(x, y)
     manual_preds = []
-    for inst in instances[rho:]:
-        manual_preds.append(tree.predict(inst.features))
-        tree.partial_fit(inst.features, inst.label)
+    for x, y in instances[rho:]:
+        manual_preds.append(tree.predict(x))
+        tree.partial_fit(x, y)
     assert strat_preds == manual_preds
 
 
@@ -80,9 +77,78 @@ def test_regular_retrain_rebuilds_from_trailing_window():
     strategy.initialize(constant_stream(0, 10))
     # ten instances of the opposite concept fill the window and trigger a
     # rebuild from them alone
-    for inst in constant_stream(1, 10, start=10):
-        strategy.step(inst.features, inst.label)
+    for x, y in constant_stream(1, 10):
+        strategy.step(x, y)
     assert strategy.classifier.predict(np.full(2, 1.0)) == 1
+
+
+@pytest.mark.parametrize("interval", [0, -1])
+def test_regular_retrain_interval_below_one_is_an_error(interval):
+    with pytest.raises(ValueError, match="retrain_interval"):
+        make_strategy("regular_retrain", n_features=2, n_classes=2, rho=5,
+                      retrain_interval=interval)
+
+
+def test_regular_retrain_interval_none_means_rho():
+    strategy = make_strategy("regular_retrain", n_features=2, n_classes=2,
+                             rho=5, retrain_interval=None)
+    assert strategy.retrain_interval == 5
+    assert strategy.get_params()["retrain_interval"] == 5
+
+
+class ScriptedDetector:
+    """The detector as the strategy sees it, with each drift event
+    scripted by the number of instances observed so far."""
+
+    def __init__(self, script):
+        self.script = script
+        self.observed = 0
+        self.exemplars = []  # (x, y) pairs, as the strategy files them
+        self.samples = []    # (dist_id, returned sample) per call
+
+    def initialize(self, window_features):
+        pass
+
+    def add_exemplar(self, x, y):
+        self.exemplars.append((x, y))
+
+    def observe(self, x):
+        self.observed += 1
+        return self.script.get(self.observed)
+
+    def historical_sample(self, dist_id):
+        # every other stored pair, newest first: an order unlike the stream's
+        sample = self.exemplars[::-2]
+        self.samples.append((dist_id, sample))
+        return sample
+
+
+def test_driftgan_retrains_on_the_history_then_the_triggering_batch(monkeypatch):
+    config = DetectorConfig(rho=6, batch_size=4, seq_len=3)
+    strategy = make_strategy("driftgan", n_features=1, n_classes=2, rho=6,
+                             config=config)
+    # observed instance 8 is stream instance 13, observed 12 is instance 17
+    strategy.detector = ScriptedDetector({8: DriftEvent(13, "new", 2),
+                                          12: DriftEvent(17, "recurring", 1)})
+    fits = []
+    monkeypatch.setattr(strategy.classifier, "fit_many",
+                        lambda pairs: fits.append(list(pairs)))
+    stream = [LabeledInstance(np.array([float(i)]), i % 2) for i in range(18)]
+    strategy.initialize(stream[:6])
+    for x, y in stream[6:]:
+        strategy.step(x, y)
+
+    def pairs(instances):
+        return [(x.tobytes(), y) for x, y in instances]
+
+    new_fit, recurring_fit = fits
+    # a new drift refits on the batch that triggered it, in stream order
+    assert pairs(new_fit) == pairs(stream[10:14])
+    # a recurring drift refits on the matched distribution's sample, then
+    # on the triggering batch in stream order
+    [(dist_id, sample)] = strategy.detector.samples
+    assert dist_id == 1 and len(sample) == 9
+    assert pairs(recurring_fit) == pairs(sample) + pairs(stream[14:18])
 
 
 def test_driftgan_recovers_on_recurring_stream():
@@ -94,8 +160,8 @@ def test_driftgan_recovers_on_recurring_stream():
     )
     strategy.initialize(instances[:100])
     correct = 0
-    for inst in instances[100:]:
-        correct += strategy.step(inst.features, inst.label) == inst.label
+    for x, y in instances[100:]:
+        correct += strategy.step(x, y) == y
     events = strategy.drift_events
     assert [e.kind for e in events] == ["new", "recurring"]
     assert [e.dist_id for e in events] == [2, 1]

@@ -53,7 +53,9 @@ def test_csv_basic(tmp_path):
     assert meta.n_instances == 2
     assert np.allclose(instances[0].features, [1.0, 2.0])
     assert instances[1].label == 1
-    assert [inst.index for inst in instances] == [0, 1]
+    # each instance is a (features, label) pair with a Python-int label
+    x, y = instances[1]
+    assert x is instances[1].features and type(y) is int
 
 
 def test_csv_integer_labels_densified_by_sorted_value(tmp_path):
@@ -248,6 +250,7 @@ def test_synth_ground_truth_change_points():
     assert meta.change_points == [100, 300]
     assert meta.segment_concepts == ["A", "B", "A"]
     assert meta.label_alphabet == [0, 1]
+    assert {type(y) for _, y in instances} == {int}
 
 
 def test_synth_concepts_are_linearly_separable():

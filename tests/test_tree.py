@@ -153,9 +153,6 @@ class ReferenceLeafStats:
             return self.fallback_label
         return int(self.class_counts.argmax())
 
-    def snapshot(self):
-        return self
-
     def std(self, feature, label):
         n = self.counts[feature, label]
         if n < 2:
@@ -203,22 +200,21 @@ def nan_blind_bytes(values):
 
 
 def assert_same_stats(stats, ref):
-    """A leaf's snapshot against the reference: counts by their bytes, the
-    Welford sums and stds by their bytes up to NaN, minima and maxima by
-    value (NaN equal to NaN). Which zero of a +-0.0 tie and which of two
-    NaNs np.minimum/np.maximum keep varies with numpy's build and the
+    """A leaf's statistics against the reference: counts by their bytes,
+    the Welford sums and stds by their bytes up to NaN, minima and maxima
+    by value (NaN equal to NaN). Which zero of a +-0.0 tie and which of
+    two NaNs np.minimum/np.maximum keep varies with numpy's build and the
     CPU; either gives the split search the same thresholds, and a held
     NaN makes it skip the feature either way."""
-    snap = stats.snapshot()
-    assert snap.class_counts.tobytes() == ref.class_counts.tobytes()
-    assert np.array_equal(snap.feat_min, ref.feat_min, equal_nan=True)
-    assert np.array_equal(snap.feat_max, ref.feat_max, equal_nan=True)
-    assert nan_blind_bytes(snap.means) == nan_blind_bytes(ref.means.T)
-    assert nan_blind_bytes(snap.m2) == nan_blind_bytes(ref.m2.T)
-    n_classes, n_features = snap.means.shape
+    assert np.array(stats.class_counts).tobytes() == ref.class_counts.tobytes()
+    assert np.array_equal(stats.feat_min, ref.feat_min, equal_nan=True)
+    assert np.array_equal(stats.feat_max, ref.feat_max, equal_nan=True)
+    assert nan_blind_bytes(stats.means) == nan_blind_bytes(ref.means.T)
+    assert nan_blind_bytes(stats.m2) == nan_blind_bytes(ref.m2.T)
+    n_features, n_classes = ref.means.shape
     for f in range(n_features):
         for c in range(n_classes):
-            assert nan_blind_bytes(snap.std(f, c)) == nan_blind_bytes(ref.std(f, c))
+            assert nan_blind_bytes(stats.std(f, c)) == nan_blind_bytes(ref.std(f, c))
 
 
 def test_leaf_stats_equal_the_per_feature_class_reference():
