@@ -1,9 +1,19 @@
-"""Command-line interface: run / compare / synth subcommands."""
+"""Command-line interface: run / compare / synth subcommands.
+
+``--config FILE`` (``run``, ``compare``) reads ``key = value`` lines and
+skips blank lines and ``#`` comments. A key is a long flag without its
+dashes, ``-`` or ``_`` between words (``rho``, ``batch_size``, ``lambda``),
+and its line is read as ``--key=value`` put before the command line's
+flags: converted and checked as on the command line, prefixes included,
+and overridden by a flag given there. An unknown key, a line without
+``=`` and a bad value are usage errors that name the file.
+"""
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,7 +38,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type of the count and length flags: an integer >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser):
+    parser.add_argument("--dataset", type=Path, required=True,
+                        help="CSV or ARFF stream file")
+    parser.add_argument("--format", choices=("auto", "csv", "arff"),
+                        default="auto",
+                        help="dataset format (default: auto by suffix)")
+    parser.add_argument("--ground-truth", type=Path,
+                        help="ground-truth JSON for detection scoring")
     parser.add_argument("--rho", type=int, default=100,
                         help="training window size (default: 100)")
     parser.add_argument("--batch-size", type=int, default=100,
@@ -39,17 +64,17 @@ def _add_common(parser):
                         default=1.0,
                         help="fraction of stored historical data reused on a "
                              "recurring drift (default: 1.0)")
-    parser.add_argument("--retrain-interval", type=int, default=None,
+    parser.add_argument("--retrain-interval", type=_positive_int,
                         help="regular_retrain rebuild interval "
                              "(default: rho)")
-    parser.add_argument("--max-instances", type=int, default=None,
+    parser.add_argument("--max-instances", type=_positive_int,
                         help="truncate the stream after this many instances "
                              "(default: no limit)")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (default: 0)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
-    parser.add_argument("--config", type=Path, default=None,
+    parser.add_argument("--config", type=Path,
                         help="flat key=value config file; flags override it")
 
 
@@ -59,31 +84,21 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="one strategy on one dataset")
-    run.add_argument("--dataset", type=Path, required=True,
-                     help="CSV or ARFF stream file")
-    run.add_argument("--format", choices=("auto", "csv", "arff"), default="auto",
-                     help="dataset format (default: auto by suffix)")
     run.add_argument("--strategy", choices=STRATEGY_KINDS, default="driftgan",
                      help="strategy to evaluate (default: driftgan)")
-    run.add_argument("--ground-truth", type=Path, default=None,
-                     help="ground-truth JSON for detection scoring")
     _add_common(run)
 
     compare = sub.add_parser("compare", help="several strategies on one dataset")
-    compare.add_argument("--dataset", type=Path, required=True)
-    compare.add_argument("--format", choices=("auto", "csv", "arff"),
-                         default="auto")
     compare.add_argument("--strategies", default="all",
                          help="comma-separated strategy kinds or 'all' "
                               "(default: all)")
-    compare.add_argument("--ground-truth", type=Path, default=None)
     _add_common(compare)
 
     synth = sub.add_parser("synth", help="write a synthetic recurring stream")
     synth.add_argument("--order", default="A,B,A",
                        help="comma-separated concept letters A-D "
                             "(default: A,B,A)")
-    synth.add_argument("--len", dest="segment_len", type=int, default=2000,
+    synth.add_argument("--len", type=_positive_int, default=2000,
                        help="length of every segment (default: 2000)")
     synth.add_argument("--noise", type=float, default=0.5,
                        help="per-feature Gaussian noise sigma (default: 0.5)")
@@ -93,43 +108,35 @@ def build_parser() -> _Parser:
                        help="random seed (default: 0)")
     synth.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (default: current directory)")
-    parser.command_parsers = {"run": run, "compare": compare, "synth": synth}
     return parser
 
 
-def _apply_config_file(args, parser):
-    """Fill values from a key=value file for flags left at their defaults."""
-    if getattr(args, "config", None) is None:
-        return args
-    overrides = {}
-    for line_no, raw in enumerate(args.config.read_text().splitlines(), start=1):
+def _config_flags(path) -> list[str]:
+    """The ``--key=value`` flag each ``key = value`` line of a file names."""
+    flags = []
+    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{args.config}:{line_no}: expected key=value")
+            raise UsageError(f"{path}:{line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        overrides[key.replace("-", "_")] = value
-    if not overrides:
-        return args
-    # flags win: re-parse with file values as the subcommand's defaults,
-    # converting through each argument's declared type
-    subparser = parser.command_parsers[args.command]
-    actions = {action.dest: action for action in subparser._actions}
-    defaults = {}
-    for key, value in overrides.items():
-        if key == "lambda":
-            key = "historical_fraction"
-        action = actions.get(key)
-        if action is None:
-            raise UsageError(f"unknown config key {key!r}")
-        try:
-            defaults[key] = action.type(value) if action.type else value
-        except ValueError:
-            raise UsageError(f"bad value for config key {key!r}: {value!r}") \
-                from None
-    subparser.set_defaults(**defaults)
-    return parser.parse_args(args._argv)
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
+
+
+def _parse_with_config(parser, argv, path):
+    """Parse ``argv`` again with the file's flags after the command,
+    ``argv[0]``: the top-level parser takes no options."""
+    flags = _config_flags(path)
+    try:
+        args, unknown = parser.parse_known_args([argv[0], *flags, *argv[1:]])
+    except UsageError as err:
+        raise UsageError(f"{path}: {err}") from None
+    if unknown:  # the command line parsed alone, so these are the file's
+        key = unknown[0][2:].split("=", 1)[0]
+        raise UsageError(f"{path}: unknown config key {key!r}")
+    return args
 
 
 def _detector_config(args) -> DetectorConfig:
@@ -145,14 +152,6 @@ def _detector_config(args) -> DetectorConfig:
     except ValueError as err:
         raise UsageError(str(err)) from None
     return config
-
-
-def _load_ground_truth(args, meta):
-    if getattr(args, "ground_truth", None) is None:
-        return meta
-    meta.change_points, meta.segment_concepts = streams.read_ground_truth(
-        args.ground_truth)
-    return meta
 
 
 def cmd_compare(args) -> int:
@@ -174,12 +173,10 @@ def cmd_compare(args) -> int:
             raise UsageError(
                 f"unknown strategy {kind!r}; choose from {STRATEGY_KINDS}"
             )
-    if args.max_instances is not None and args.max_instances < 1:
-        raise UsageError("--max-instances must be at least 1")
-    if args.retrain_interval is not None and args.retrain_interval < 1:
-        raise UsageError("--retrain-interval must be at least 1")
     instances, meta = streams.load(args.dataset, args.format, args.max_instances)
-    meta = _load_ground_truth(args, meta)
+    if args.ground_truth is not None:
+        meta.change_points, meta.segment_concepts = streams.read_ground_truth(
+            args.ground_truth)
     config = _detector_config(args)
     args.out.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -209,14 +206,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if not 0.0 <= args.noise < math.inf:  # NaN fails the comparison too
+        raise UsageError("--noise must be a finite number >= 0")
     names = [n.strip() for n in args.order.split(",") if n.strip()]
-    concepts = streams.default_concepts(noise=args.noise)
-    for name in names:
-        if name not in concepts:
-            raise UsageError(
-                f"unknown concept {name!r}; available: {sorted(concepts)}"
-            )
-    spec = streams.SyntheticSpec(concepts, names, [args.segment_len] * len(names))
+    spec = streams.SyntheticSpec(streams.default_concepts(noise=args.noise),
+                                 names, [args.len] * len(names))
+    try:
+        spec.validate()  # no concept, or an unknown one
+    except ValueError as err:
+        raise UsageError(f"--order: {err}") from None
     instances, meta = streams.synth_recurring(spec, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     stream_path = args.out / f"{args.name}.csv"
@@ -244,8 +242,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
-        args._argv = argv
-        args = _apply_config_file(args, parser)
+        if getattr(args, "config", None) is not None:
+            args = _parse_with_config(parser, argv, args.config)
         if args.command == "synth":
             return cmd_synth(args)
         return cmd_compare(args)

@@ -12,8 +12,8 @@ Both networks train and classify in ``NETWORK_DTYPE`` (float32): its
 matmuls and its Adadelta pass cost about half of float64's. Both are
 ``nn.Network``s, ReLU stacks under a linear head. The discriminator is
 trained by softmax cross-entropy on its logits and decides by their
-argmax; the generator's mean squared error is computed here, in
-``_train_gan_once``.
+argmax; the generator's squared prediction error is computed here, in
+``_prediction_loss``.
 
 ``DetectorConfig`` holds the settings a caller chooses. The GAN's tuning
 (``GAN_MINIBATCH``, ``ADADELTA_EPSILON``, ``DISC_STEPS``, ``CE_GRAD_CLIP``,
@@ -273,6 +273,14 @@ def _sample_probes(rng, n, real_vecs, radius):
     return kept[:n]
 
 
+def _prediction_loss(fake, target):
+    """The generator's prediction loss, the squared error summed over each
+    row and averaged over the rows, and its gradient with respect to
+    ``fake``."""
+    diff = fake - target
+    return float(np.sum(diff ** 2)) / len(fake), 2.0 * diff / len(fake)
+
+
 def _train_gan_once(registry, config, rng, generator, discriminator):
     seqs, nexts, seq_ids, real_vecs, real_ids = _training_set(
         registry, config.seq_len)
@@ -339,13 +347,12 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
             # gradient so it cannot drag fakes into a foreign real region.
             # loss_gradients computes only the fakes' gradient and leaves
             # discriminator.grads as the last discriminator step wrote them.
-            mse_grad = 2.0 * (fake - next_batch) / len(fake)
+            mse_value, mse_grad = _prediction_loss(fake, next_batch)
             ce_value, ce_grad = loss_gradients(discriminator, fake, id_batch)
             mse_norm = float(np.linalg.norm(mse_grad))
             ce_norm = float(np.linalg.norm(ce_grad))
             if ce_norm > CE_GRAD_CLIP * mse_norm and ce_norm > 0.0:
                 ce_grad = ce_grad * (CE_GRAD_CLIP * mse_norm / ce_norm)
-            mse_value = float(np.mean((fake - next_batch) ** 2))
             gen_loss = mse_value + ce_value
             if not np.isfinite(gen_loss):
                 raise TrainingDivergedError(f"non-finite generator loss: {gen_loss}")

@@ -247,9 +247,12 @@ class SyntheticSpec:
     def validate(self) -> None:
         if len(self.order) != len(self.segment_lengths):
             raise ValueError("order and segment_lengths must have equal length")
+        if not self.order:
+            raise ValueError("order names no concept")
         for name in self.order:
             if name not in self.concepts:
-                raise ValueError(f"undefined concept {name!r}")
+                raise ValueError(f"unknown concept {name!r}; "
+                                 f"available: {sorted(self.concepts)}")
         for length in self.segment_lengths:
             if length < 1:
                 raise ValueError("segment lengths must be positive")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import driftbench.cli as cli
 from driftbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
 from driftbench.streams import load_csv
 
@@ -199,3 +200,68 @@ def test_compare_naming_no_strategy_is_usage_error(tmp_path, capsys, strategies)
     assert code == EXIT_USAGE
     assert "--strategies names no strategy" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+
+
+def parsed_with_config(tmp_path, monkeypatch, text, *flags):
+    """The args ``run`` gets from a config file holding ``text``; no
+    stream is read and no strategy runs."""
+    config = tmp_path / "bench.conf"
+    config.write_text(text)
+    parsed = []
+    monkeypatch.setattr(cli, "cmd_compare",
+                        lambda args: parsed.append(args) or EXIT_OK)
+    code = main(["run", "--dataset", str(tmp_path / "toy.csv"),
+                 "--config", str(config), *flags])
+    assert code == EXIT_OK
+    return parsed[0]
+
+
+def test_config_file_lambda_reaches_historical_fraction(tmp_path, monkeypatch):
+    args = parsed_with_config(tmp_path, monkeypatch, "lambda = 0.5\n")
+    assert args.historical_fraction == 0.5
+
+
+def test_config_file_keys_are_read_as_their_flags(tmp_path, monkeypatch):
+    # underscores stand for dashes, an unambiguous prefix names its flag,
+    # and the command line wins over the file
+    args = parsed_with_config(
+        tmp_path, monkeypatch,
+        "batch_size = 20\nmax = 120\nseed = 3\n", "--seed", "4")
+    assert (args.batch_size, args.max_instances, args.seed) == (20, 120, 4)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("rho = abc", "argument --rho: invalid int value: 'abc'"),
+    ("max-instances = 0", "argument --max-instances"),
+    ("historical_fraction = 0.5", "unknown config key"),
+])
+def test_config_file_bad_value_is_usage_error_naming_the_file(
+        tmp_path, capsys, line, message):
+    config = tmp_path / "bench.conf"
+    config.write_text(f"{line}\n")
+    code = main(["run", "--dataset", str(tmp_path / "toy.csv"),
+                 "--config", str(config), "--out", str(tmp_path / "results")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and message in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_config_file_line_without_equals_names_file_and_line(tmp_path, capsys):
+    config = tmp_path / "bench.conf"
+    config.write_text("# defaults\nrho 30\n")
+    code = main(["run", "--dataset", str(tmp_path / "toy.csv"),
+                 "--config", str(config)])
+    assert code == EXIT_USAGE
+    assert f"{config}:2: expected key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--len", "0"), ("--order", ","), ("--noise", "-1"), ("--noise", "nan"),
+])
+def test_synth_bad_value_is_usage_error_naming_the_flag(
+        tmp_path, capsys, flag, value):
+    code = main(["synth", flag, value, "--out", str(tmp_path / "data")])
+    assert code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()

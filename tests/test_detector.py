@@ -19,6 +19,7 @@ from driftbench.detector import (
     DistributionRegistry,
     DriftGanDetector,
     _new_pair,
+    _prediction_loss,
     _sample_probes,
     _training_set,
     classify_batch,
@@ -610,3 +611,18 @@ def test_train_gan_memory_does_not_grow_quadratically_with_the_registry():
     # windows, and grows quadratically.
     growth = _train_gan_peak_mb(40) - _train_gan_peak_mb(5)
     assert growth < 50.0
+
+
+def test_prediction_loss_gradient_matches_central_differences():
+    rng = np.random.default_rng(0)
+    fake, target = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    value, grad = _prediction_loss(fake, target)
+    assert value == pytest.approx(np.sum((fake - target) ** 2) / 5)
+    eps = 1e-6
+    numeric = np.empty_like(fake)
+    for idx in np.ndindex(fake.shape):
+        step = np.zeros_like(fake)
+        step[idx] = eps
+        numeric[idx] = (_prediction_loss(fake + step, target)[0]
+                        - _prediction_loss(fake - step, target)[0]) / (2 * eps)
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)

@@ -269,6 +269,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec(concepts, ["Z"], [10]).validate()
     with pytest.raises(ValueError):
         SyntheticSpec(concepts, ["A"], [0]).validate()
+    with pytest.raises(ValueError, match="no concept"):
+        SyntheticSpec(concepts, [], []).validate()
 
 
 def test_write_ground_truth(tmp_path):
