@@ -56,9 +56,9 @@ def _add_common(parser):
                         help="ground-truth JSON for detection scoring")
     parser.add_argument("--rho", type=int, default=100,
                         help="training window size (default: 100)")
-    parser.add_argument("--batch-size", type=int, default=100,
+    parser.add_argument("--batch-size", type=_positive_int, default=100,
                         help="consensus batch size (default: 100)")
-    parser.add_argument("--seq-len", type=int, default=4,
+    parser.add_argument("--seq-len", type=_positive_int, default=4,
                         help="generator input sequence length (default: 4)")
     parser.add_argument("--lambda", dest="historical_fraction", type=float,
                         default=1.0,
@@ -173,11 +173,11 @@ def cmd_compare(args) -> int:
             raise UsageError(
                 f"unknown strategy {kind!r}; choose from {STRATEGY_KINDS}"
             )
+    config = _detector_config(args)
     instances, meta = streams.load(args.dataset, args.format, args.max_instances)
     if args.ground_truth is not None:
         meta.change_points, meta.segment_concepts = streams.read_ground_truth(
             args.ground_truth)
-    config = _detector_config(args)
     args.out.mkdir(parents=True, exist_ok=True)
     reports = []
     for kind in kinds:

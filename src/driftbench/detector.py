@@ -94,10 +94,10 @@ class DistributionRecord:
     """One seen distribution: its standardized GAN training window and
     its labeled exemplars."""
 
-    def __init__(self, dist_id: int, window, cap: int):
+    def __init__(self, dist_id: int, window):
         self.dist_id = dist_id
         self.window = np.asarray(window, dtype=float)  # (n, d)
-        self.exemplars: deque = deque(maxlen=cap)
+        self.exemplars: deque = deque(maxlen=PER_DIST_CAP)
 
     def add_exemplar(self, features, label) -> None:
         self.exemplars.append((np.asarray(features, dtype=float), int(label)))
@@ -106,8 +106,7 @@ class DistributionRecord:
 class DistributionRegistry:
     """Ordered set of seen distributions; ids are dense 1..n, 0 = unseen."""
 
-    def __init__(self, cap: int):
-        self.cap = cap
+    def __init__(self):
         self.records: list[DistributionRecord] = []
         self.current = 0
 
@@ -116,7 +115,7 @@ class DistributionRegistry:
 
     def add(self, window) -> int:
         dist_id = len(self.records) + 1
-        self.records.append(DistributionRecord(dist_id, window, self.cap))
+        self.records.append(DistributionRecord(dist_id, window))
         return dist_id
 
     def get(self, dist_id: int) -> DistributionRecord:
@@ -387,26 +386,26 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
 class DriftGanDetector:
     """Streaming drift detector around the GAN pair and the registry.
 
-    Usage: ``initialize`` with the first ``rho`` feature vectors, then feed
-    every subsequent vector to ``observe``, which returns a ``DriftEvent``
-    when a batch signals a drift and ``None`` otherwise. Labeled exemplars
-    are recorded through ``add_exemplar`` once the true label is known.
+    Usage: ``initialize`` with the first ``rho`` feature vectors and file
+    their labels through ``add_exemplar``. Then feed every later labeled
+    instance to ``observe(x, y)``: it files the instance as an exemplar
+    and returns a ``DriftEvent`` when a batch signals a drift, ``None``
+    otherwise. ``last_batch`` holds the labeled instances of the last
+    decided batch, in stream order.
     """
 
     def __init__(self, config: DetectorConfig | None = None):
         self.config = config or DetectorConfig()
         self.config.validate()
         self.rng = np.random.default_rng(self.config.seed)
-        self.registry = DistributionRegistry(PER_DIST_CAP)
+        self.registry = DistributionRegistry()
         self.generator: Network | None = None
         self.discriminator: Network | None = None
-        self._batch: list = []  # raw vectors since the last batch boundary
+        self._batch: list = []  # (features, label) since the last boundary
         self._pending_window = None  # standardized start of a new window
+        self.last_batch: list = []  # the last decided batch, in stream order
         self.instances_seen = 0
         self.events: list[DriftEvent] = []
-
-    def get_params(self) -> dict:
-        return dict(self.config.__dict__)
 
     def initialize(self, window_features) -> None:
         """Train the initial GAN on the first rho raw feature vectors."""
@@ -422,24 +421,31 @@ class DriftGanDetector:
         """Store a labeled instance under the current distribution."""
         self.registry.get(self.registry.current).add_exemplar(features, label)
 
-    def observe(self, features) -> DriftEvent | None:
-        """Consume one raw feature vector; decide at batch boundaries.
+    def observe(self, features, label) -> DriftEvent | None:
+        """Consume one labeled instance; decide at batch boundaries.
 
-        Vectors are buffered raw and standardized as one block when the
-        batch (or a pending registration window) is complete.
+        Instances are buffered raw, and their vectors standardized as one
+        block when the batch (or a pending registration window) is
+        complete.
         """
         if self.discriminator is None:
             raise RuntimeError("detector not initialized")
+        # filed before the decision: a drift's batch misfiles under the old id
+        self.add_exemplar(features, label)
         self.instances_seen += 1
-        self._batch.append(features)
+        self._batch.append((features, label))
         if self._pending_window is not None:
             if len(self._pending_window) + len(self._batch) >= self.config.rho:
-                self._finish_registration()
+                window = np.vstack([self._pending_window,
+                                    standardize([x for x, _ in self._batch])])
+                self._pending_window, self._batch = None, []
+                self.register_distribution(window[: self.config.rho])
             return None
         if len(self._batch) < self.config.batch_size:
             return None
-        batch, self._batch = standardize(self._batch), []
-        return self.detect(batch, self.instances_seen - 1)
+        self.last_batch, self._batch = self._batch, []
+        return self.detect(standardize([x for x, _ in self.last_batch]),
+                           self.instances_seen - 1)
 
     def detect(self, batch_std, instance_index: int) -> DriftEvent | None:
         """Batch-consensus drift rule on standardized vectors.
@@ -463,7 +469,10 @@ class DriftGanDetector:
                 return None
         if first == 0:
             event = DriftEvent(instance_index, "new", len(self.registry) + 1)
-            self._begin_registration(batch_std)
+            if len(batch_std) >= self.config.rho:
+                self.register_distribution(batch_std[-self.config.rho:])
+            else:  # observe buffers further instances until rho are there
+                self._pending_window = batch_std
         else:
             self.registry.current = first
             event = DriftEvent(instance_index, "recurring", first)
@@ -483,18 +492,6 @@ class DriftGanDetector:
         return [exemplars[i] for i in idx]
 
     # -- new-distribution registration ---------------------------------------
-
-    def _begin_registration(self, batch_std) -> None:
-        if len(batch_std) >= self.config.rho:
-            self.register_distribution(batch_std[-self.config.rho:])
-        else:
-            # buffer further instances until rho vectors are available
-            self._pending_window = batch_std
-
-    def _finish_registration(self) -> None:
-        window = np.vstack([self._pending_window, standardize(self._batch)])
-        self._pending_window, self._batch = None, []
-        self.register_distribution(window[: self.config.rho])
 
     def register_distribution(self, window_std) -> int:
         """Add a record, grow the discriminator, retrain the GAN."""

@@ -115,8 +115,11 @@ def prequential_run(instances, strategy, *, dataset: str = "stream",
         trace=trace if keep_trace else None,
     )
     if metadata is not None and metadata.change_points:
+        # a truncated stream never reaches its later change points
+        reached = [c for c in metadata.change_points if c < len(instances)]
         report.detection = score_detection(
-            report.drift_events, metadata.change_points, metadata.segment_concepts
+            report.drift_events, reached,
+            metadata.segment_concepts[:len(reached) + 1],
         )
     return report
 

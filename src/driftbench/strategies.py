@@ -117,11 +117,10 @@ class DriftGanStrategy(Strategy):
     def __init__(self, n_features, n_classes, config: DetectorConfig):
         super().__init__(n_features, n_classes, config.rho)
         self.detector = DriftGanDetector(config)
-        self._recent: deque = deque(maxlen=config.batch_size)
 
     def get_params(self) -> dict:
         params = super().get_params()
-        params.update(self.detector.get_params())
+        params.update(vars(self.detector.config))
         return params
 
     @property
@@ -136,11 +135,7 @@ class DriftGanStrategy(Strategy):
 
     def _learn(self, x, y: int) -> None:
         self.classifier.partial_fit(x, y)
-        self._recent.append((x, y))
-        # the label is revealed, so the instance is attributed to the
-        # current distribution before the batch decision can change it
-        self.detector.add_exemplar(x, y)
-        event = self.detector.observe(x)
+        event = self.detector.observe(x, y)
         if event is not None:
             self._retrain(event)
 
@@ -148,7 +143,7 @@ class DriftGanStrategy(Strategy):
         training = []
         if event.kind == "recurring":
             training.extend(self.detector.historical_sample(event.dist_id))
-        training.extend(self._recent)
+        training.extend(self.detector.last_batch)
         self.classifier.reset()
         self.classifier.fit_many(training)
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from driftbench.detector import (
-    PER_DIST_CAP,
     DetectorConfig,
     DistributionRegistry,
     classify_batch,
@@ -177,7 +176,7 @@ def test_criterion_5_gan_training_audit():
         feats, _ = concept.sample(rng, 100)
         window = [standardize(v) for v in feats]
         config = DetectorConfig(seed=seed)
-        registry = DistributionRegistry(PER_DIST_CAP)
+        registry = DistributionRegistry()
         registry.add(window)
         registry.current = 1
         generator, discriminator = train_gan(registry, config, rng)

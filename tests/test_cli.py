@@ -177,6 +177,20 @@ def test_max_instances_below_one_is_usage_error(tmp_path, capsys):
     assert "--max-instances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch-size", "0", "argument --batch-size"),
+    ("--seq-len", "0", "argument --seq-len"),
+    ("--rho", "3", "rho must be at least seq_len + 1"),
+    ("--lambda", "2", "historical_fraction must be in [0, 1]"),
+])
+def test_bad_detector_setting_is_usage_error_before_the_stream_loads(
+        tmp_path, capsys, flag, value, message):
+    code = main(["run", "--dataset", str(tmp_path / "missing.csv"),
+                 flag, value, "--out", str(tmp_path / "results")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("interval", ["0", "-1"])
 def test_retrain_interval_below_one_is_usage_error(tmp_path, capsys, interval):
     main(synth_args(tmp_path))

@@ -14,7 +14,6 @@ from driftbench.detector import (
     DISCRIMINATOR_HIDDEN,
     GENERATOR_HIDDEN,
     NETWORK_DTYPE,
-    PER_DIST_CAP,
     DetectorConfig,
     DistributionRegistry,
     DriftGanDetector,
@@ -86,7 +85,7 @@ def window(seed=0, n=8, d=4):
 
 
 def test_registry_assigns_dense_ids():
-    reg = DistributionRegistry(cap=10)
+    reg = DistributionRegistry()
     assert reg.add(window(0)) == 1
     assert reg.add(window(1)) == 2
     assert len(reg) == 2
@@ -97,8 +96,9 @@ def test_registry_assigns_dense_ids():
         reg.get(0)
 
 
-def test_exemplar_cap_evicts_oldest():
-    reg = DistributionRegistry(cap=3)
+def test_exemplar_cap_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(detector_module, "PER_DIST_CAP", 3)
+    reg = DistributionRegistry()
     reg.add(window(0))
     for i in range(5):
         reg.get(1).add_exemplar([float(i)], i % 2)
@@ -231,10 +231,10 @@ def test_detect_small_batch_buffers_until_rho(monkeypatch):
                         lambda w: registered.append(list(w)) or 2)
     rng = np.random.default_rng(1)
     raw = rng.normal(size=(10, 4))
-    events = [det.observe(x) for x in raw[:5]]
+    events = [det.observe(x, 0) for x in raw[:5]]
     assert events[:4] == [None] * 4 and events[-1].kind == "new"
     assert registered == []  # five vectors are not enough for a window yet
-    assert [det.observe(x) for x in raw[5:]] == [None] * 5
+    assert [det.observe(x, 0) for x in raw[5:]] == [None] * 5
     assert len(registered) == 1
     assert np.array_equal(np.array(registered[0]), standardize(raw))
 
@@ -250,15 +250,58 @@ def test_detect_large_batch_registers_its_last_rho_rows(monkeypatch):
     monkeypatch.setattr(det, "register_distribution",
                         lambda w: registered.append(np.array(w)) or 2)
     raw = np.random.default_rng(2).normal(size=(12, 4))
-    assert [det.observe(x) for x in raw[:11]] == [None] * 11
+    assert [det.observe(x, 0) for x in raw[:11]] == [None] * 11
     assert registered == []
-    event = det.observe(raw[11])
+    event = det.observe(raw[11], 0)
     assert (event.kind, event.dist_id, event.instance_index) == ("new", 2, 21)
     # registered at this batch's boundary, from its last rho rows alone
     [window_std] = registered
     assert window_std.tobytes() == standardize(raw)[-10:].tobytes()
     assert det._pending_window is None
-    assert det.observe(raw[0]) is None and len(registered) == 1
+    assert det.observe(raw[0], 0) is None and len(registered) == 1
+
+
+def labeled(instances):
+    return [(x.tobytes(), y) for x, y in instances]
+
+
+def test_last_batch_holds_the_decided_batch_in_stream_order():
+    det = detector_with_stub(lambda row: 1, current=1)
+    det.config.batch_size = 5
+    raw = np.random.default_rng(3).normal(size=(12, 4))
+    stream = [(x, i % 3) for i, x in enumerate(raw)]
+    for x, y in stream[:4]:
+        det.observe(x, y)
+    assert det.last_batch == []  # no batch decided yet
+    for x, y in stream[4:]:
+        det.observe(x, y)
+    # the second batch was decided last; the two after it are not a batch
+    assert labeled(det.last_batch) == labeled(stream[5:10])
+
+
+def test_pending_registration_files_each_instance_under_the_old_id(
+        monkeypatch):
+    config = DetectorConfig(rho=10, batch_size=5, seq_len=3)
+    det = DriftGanDetector(config)
+    det.registry.add(window(0, n=10))
+    det.registry.current = 1
+    det.discriminator = StubDiscriminator(lambda row: 0, 2)
+    det.instances_seen = 10
+
+    def register(window_std):  # a registration without the GAN
+        det.registry.current = det.registry.add(window_std)
+        return det.registry.current
+
+    monkeypatch.setattr(det, "register_distribution", register)
+    raw = np.random.default_rng(4).normal(size=(11, 4))
+    stream = [(x, i % 2) for i, x in enumerate(raw)]
+    for x, y in stream:
+        det.observe(x, y)
+    old, new = det.registry.records
+    # the triggering batch and the pending window up to its last instance
+    # are filed before the registration makes the new id current
+    assert labeled(old.exemplars) == labeled(stream[:10])
+    assert labeled(new.exemplars) == labeled(stream[10:])
 
 
 def full_batch_decision(ids, current):
@@ -367,7 +410,7 @@ def test_inconsistent_discriminator_is_an_error():
 def test_observe_requires_initialization():
     det = DriftGanDetector(DetectorConfig())
     with pytest.raises(RuntimeError):
-        det.observe(np.zeros(4))
+        det.observe(np.zeros(4), 0)
 
 
 def test_config_validation():
@@ -391,7 +434,7 @@ def concept_window(name, seed, n=100):
 
 def test_train_gan_separates_real_from_generated():
     config = DetectorConfig(seed=0)
-    registry = DistributionRegistry(PER_DIST_CAP)
+    registry = DistributionRegistry()
     registry.add(concept_window("A", seed=0, n=config.rho))
     registry.current = 1
     rng = np.random.default_rng(0)
@@ -415,7 +458,7 @@ def test_train_gan_separates_real_from_generated():
 
 def test_train_gan_warns_when_epochs_run_out(caplog):
     config = DetectorConfig(gan_max_epochs=1, disc_loss_threshold=1e-9)
-    registry = DistributionRegistry(PER_DIST_CAP)
+    registry = DistributionRegistry()
     registry.add(concept_window("A", seed=0, n=config.rho))
     registry.current = 1
     with caplog.at_level(logging.WARNING, logger="driftbench.detector"):
@@ -451,7 +494,7 @@ def loop_training_set(registry, seq_len):
 ])
 def test_training_arrays_match_the_row_by_row_reference(lengths, d, seq_len):
     rng = np.random.default_rng(len(lengths))
-    registry = DistributionRegistry(10)
+    registry = DistributionRegistry()
     for n in lengths:
         registry.add(standardize(rng.normal(size=(n, d))))
     got = _training_set(registry, seq_len)
@@ -464,7 +507,7 @@ def test_training_arrays_match_the_row_by_row_reference(lengths, d, seq_len):
 
 def test_train_gan_continues_a_fitting_pair_and_rejects_one_that_does_not():
     config = DetectorConfig(rho=20, gan_max_epochs=1)
-    registry = DistributionRegistry(PER_DIST_CAP)
+    registry = DistributionRegistry()
     rng = np.random.default_rng(0)
     registry.add(concept_window("A", seed=0, n=config.rho))
     generator, discriminator = train_gan(registry, config, rng)
@@ -480,7 +523,7 @@ def test_train_gan_continues_a_fitting_pair_and_rejects_one_that_does_not():
 
 
 def two_window_registry(config):
-    registry = DistributionRegistry(PER_DIST_CAP)
+    registry = DistributionRegistry()
     registry.add(concept_window("A", seed=0, n=config.rho))
     registry.add(concept_window("B", seed=1, n=config.rho))
     return registry
@@ -582,8 +625,8 @@ def test_train_gan_rejects_empty_or_short_registry():
     config = DetectorConfig()
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        train_gan(DistributionRegistry(10), config, rng)
-    registry = DistributionRegistry(10)
+        train_gan(DistributionRegistry(), config, rng)
+    registry = DistributionRegistry()
     registry.add(window(0, n=3))  # shorter than seq_len + 1
     with pytest.raises(ValueError):
         train_gan(registry, config, rng)
@@ -591,7 +634,7 @@ def test_train_gan_rejects_empty_or_short_registry():
 
 def _train_gan_peak_mb(n_windows, d=12):
     config = DetectorConfig(rho=20, gan_max_epochs=1)
-    registry = DistributionRegistry(PER_DIST_CAP)
+    registry = DistributionRegistry()
     rng = np.random.default_rng(0)
     for i in range(n_windows):
         registry.add(standardize(rng.normal(i, 1.0, size=(config.rho, d))))

@@ -63,6 +63,18 @@ def test_prequential_scores_detection_when_ground_truth_present():
     assert report.detection.missed == 1  # baseline emits no events
 
 
+def test_prequential_scores_only_the_change_points_the_stream_reaches():
+    # ground truth of an A,B,A stream with 300-instance segments, read
+    # only up to instance 400: the change point at 600 is never reached
+    instances = rule_instances(400)
+    meta = StreamMetadata(1, [0, 1], 400, change_points=[300, 600],
+                          segment_concepts=["A", "B", "A"])
+    strategy = make_strategy("regular_update", n_features=1, n_classes=2, rho=20)
+    report = prequential_run(instances, strategy, metadata=meta)
+    assert report.detection.missed == 1
+    assert report.detection.recurrence_id_accuracy is None
+
+
 # -- detection scoring --------------------------------------------------------
 
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from test_detector import StubDiscriminator
 
-from driftbench.detector import DetectorConfig, DriftEvent
+import driftbench.detector as detector_module
+from driftbench.detector import DetectorConfig
 from driftbench.strategies import STRATEGY_KINDS, make_strategy
 from driftbench.streams import (
     LabeledInstance,
@@ -96,59 +98,83 @@ def test_regular_retrain_interval_none_means_rho():
     assert strategy.get_params()["retrain_interval"] == 5
 
 
-class ScriptedDetector:
-    """The detector as the strategy sees it, with each drift event
-    scripted by the number of instances observed so far."""
-
-    def __init__(self, script):
-        self.script = script
-        self.observed = 0
-        self.exemplars = []  # (x, y) pairs, as the strategy files them
-        self.samples = []    # (dist_id, returned sample) per call
-
-    def initialize(self, window_features):
-        pass
-
-    def add_exemplar(self, x, y):
-        self.exemplars.append((x, y))
-
-    def observe(self, x):
-        self.observed += 1
-        return self.script.get(self.observed)
-
-    def historical_sample(self, dist_id):
-        # every other stored pair, newest first: an order unlike the stream's
-        sample = self.exemplars[::-2]
-        self.samples.append((dist_id, sample))
-        return sample
+def signed(value, label):
+    """A two-feature instance that standardizes to (1, -1) when ``value``
+    is positive and to (-1, 1) when it is negative."""
+    return LabeledInstance(np.array([value, 0.0]), label)
 
 
-def test_driftgan_retrains_on_the_history_then_the_triggering_batch(monkeypatch):
-    config = DetectorConfig(rho=6, batch_size=4, seq_len=3)
-    strategy = make_strategy("driftgan", n_features=1, n_classes=2, rho=6,
+def stub_training(monkeypatch):
+    """Registration without the GAN: each training returns a stub
+    discriminator that maps positive rows to id 1 and negative rows to id 2
+    once a second distribution is registered, to unseen (0) before."""
+    def train(registry, config, rng, generator=None, discriminator=None):
+        negative = 2 if len(registry) > 1 else 0
+        return generator, StubDiscriminator(
+            lambda row: 1 if row[0] > 0 else negative, 1 + len(registry))
+
+    monkeypatch.setattr(detector_module, "train_gan", train)
+    monkeypatch.setattr(detector_module, "extend_output_layer",
+                        lambda network, rng: None)
+
+
+def assert_refits_on_history_then_triggering_batch(monkeypatch, rho,
+                                                   batch_size):
+    stub_training(monkeypatch)
+    config = DetectorConfig(rho=rho, batch_size=batch_size, seq_len=3)
+    strategy = make_strategy("driftgan", n_features=2, n_classes=2, rho=rho,
                              config=config)
-    # observed instance 8 is stream instance 13, observed 12 is instance 17
-    strategy.detector = ScriptedDetector({8: DriftEvent(13, "new", 2),
-                                          12: DriftEvent(17, "recurring", 1)})
-    fits = []
+    fits, samples = [], []
     monkeypatch.setattr(strategy.classifier, "fit_many",
                         lambda pairs: fits.append(list(pairs)))
-    stream = [LabeledInstance(np.array([float(i)]), i % 2) for i in range(18)]
-    strategy.initialize(stream[:6])
-    for x, y in stream[6:]:
+    detector = strategy.detector
+    sample_of = detector.historical_sample
+
+    def recorded_sample(dist_id):
+        samples.append((dist_id, sample_of(dist_id)))
+        return samples[-1][1]
+
+    monkeypatch.setattr(detector, "historical_sample", recorded_sample)
+    # concept A; then B for the triggering batch, the rest of a pending
+    # window, if any, and one more batch; then A again: a new drift, then a
+    # recurring one
+    stream = [signed(1.0 + i, i % 2) for i in range(rho)]
+    stream += [signed(-1.0 - i, i % 2)
+               for i in range(max(rho, batch_size) + batch_size)]
+    stream += [signed(100.0 + i, i % 2) for i in range(batch_size)]
+    strategy.initialize(stream[:rho])
+    for x, y in stream[rho:]:
         strategy.step(x, y)
 
     def pairs(instances):
         return [(x.tobytes(), y) for x, y in instances]
 
+    assert [(e.kind, e.dist_id) for e in strategy.drift_events] == [
+        ("new", 2), ("recurring", 1)]
     new_fit, recurring_fit = fits
     # a new drift refits on the batch that triggered it, in stream order
-    assert pairs(new_fit) == pairs(stream[10:14])
+    assert pairs(new_fit) == pairs(stream[rho:rho + batch_size])
     # a recurring drift refits on the matched distribution's sample, then
     # on the triggering batch in stream order
-    [(dist_id, sample)] = strategy.detector.samples
-    assert dist_id == 1 and len(sample) == 9
-    assert pairs(recurring_fit) == pairs(sample) + pairs(stream[14:18])
+    [(dist_id, sample)] = samples
+    assert dist_id == 1
+    assert sorted(pairs(sample)) == sorted(
+        pairs(detector.registry.get(1).exemplars))
+    assert pairs(recurring_fit) == pairs(sample) + pairs(stream[-batch_size:])
+
+
+def test_driftgan_retrains_on_the_history_then_the_triggering_batch(
+        monkeypatch):
+    # batch_size < rho: the new distribution registers once a pending
+    # window is full
+    assert_refits_on_history_then_triggering_batch(monkeypatch, rho=6,
+                                                   batch_size=4)
+
+
+def test_driftgan_retrains_alike_when_one_batch_fills_a_window(monkeypatch):
+    # batch_size >= rho: the new distribution registers at the boundary
+    assert_refits_on_history_then_triggering_batch(monkeypatch, rho=4,
+                                                   batch_size=6)
 
 
 def test_driftgan_recovers_on_recurring_stream():
