@@ -46,6 +46,18 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _unit_fraction(text: str) -> float:
+    """Argparse type of ``--lambda``: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--dataset", type=Path, required=True,
                         help="CSV or ARFF stream file")
@@ -60,7 +72,8 @@ def _add_common(parser):
                         help="consensus batch size (default: 100)")
     parser.add_argument("--seq-len", type=_positive_int, default=4,
                         help="generator input sequence length (default: 4)")
-    parser.add_argument("--lambda", dest="historical_fraction", type=float,
+    parser.add_argument("--lambda", dest="historical_fraction",
+                        type=_unit_fraction,
                         default=1.0,
                         help="fraction of stored historical data reused on a "
                              "recurring drift (default: 1.0)")

@@ -20,11 +20,16 @@ argmax; the generator's squared prediction error is computed here, in
 ``PROBE_RADIUS_SCALE``, ``REAL_JITTER_SCALE``) is fixed in module
 constants beside the network widths.
 
-Nearly every batch of a stream is not a drift, and any row on the
-current id or any two rows that disagree settle that. So ``detect``
-classifies the first ``CONSENSUS_HEAD`` rows of a batch first and the
-rest only when the head agrees on one non-current id. It decides
-exactly what the rule over the whole batch decides.
+Nearly every batch of a stream is not a drift, and one row on the
+current id settles that. So ``detect`` first forwards the batch's first
+row alone and asks ``nn.LogitBound`` whether that row's argmax is the
+current id in every float32 forward of it, inside any batch as well. The
+bound assumes an IEEE float32 BLAS with no reduced-precision
+accumulation. When it cannot certify the row, ``detect`` classifies the
+whole batch and applies the unanimity rule; either way it decides
+exactly what the rule over the whole batch decides. The bound is built
+at the end of each registration, the one place the detector changes the
+discriminator.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .nn import (
     AdadeltaState,
+    LogitBound,
     Network,
     TrainingDivergedError,
     _backward,
@@ -224,13 +230,6 @@ def train_gan(registry: DistributionRegistry, config: DetectorConfig, rng,
 
 # Elements of one (rows, len(b), d) difference block in _nearest_distances.
 DISTANCE_BLOCK = 1 << 18
-# Rows of a consensus batch that detect classifies before the rest. With
-# OpenBLAS 0.3.31 and nn's (in, out) weights, an 8-row head and the rows
-# after it get the float32 logits of the whole batch bit for bit (sgemm):
-# tests/test_detector.py checks it on the discriminator's widths with 2
-# to 5 outputs over standardized 100-row batches. A 1-row head goes
-# through gemv, and its logits differ from the batch's.
-CONSENSUS_HEAD = 8
 
 
 def _nearest_distances(a, b, skip_self=False) -> np.ndarray:
@@ -401,6 +400,7 @@ class DriftGanDetector:
         self.registry = DistributionRegistry()
         self.generator: Network | None = None
         self.discriminator: Network | None = None
+        self._bound: LogitBound | None = None  # detect's one-row screen
         self._batch: list = []  # (features, label) since the last boundary
         self._pending_window = None  # standardized start of a new window
         self.last_batch: list = []  # the last decided batch, in stream order
@@ -451,22 +451,20 @@ class DriftGanDetector:
         """Batch-consensus drift rule on standardized vectors.
 
         A drift needs every row of the batch on one id other than the
-        current one. The first ``CONSENSUS_HEAD`` rows are classified
-        first: a head row on the current id, or two head rows that
-        disagree, settle "no drift" without the rest of the batch. Only
-        a head that agrees on one non-current id has the remaining rows
-        classified, and each of them must map to that id too. This
-        decides exactly what the rule over the whole batch decides.
+        current one. A first row that the discriminator's bound certifies
+        on the current id, from one forward of that row alone, settles
+        "no drift": the whole batch's forward puts it there too. Any
+        other batch is classified whole, and its rows must all map to
+        one non-current id.
         """
-        head = classify_batch(self.discriminator, batch_std[:CONSENSUS_HEAD])
-        first = head[0]
-        if first == self.registry.current or any(i != first for i in head):
+        bound, current = self._bound, self.registry.current
+        if bound is not None and bound.argmax_is(
+                self.discriminator, batch_std[0], current):
             return None
-        if len(batch_std) > CONSENSUS_HEAD:
-            rest = classify_batch(self.discriminator,
-                                  batch_std[CONSENSUS_HEAD:])
-            if any(i != first for i in rest):
-                return None
+        ids = classify_batch(self.discriminator, batch_std)
+        first = ids[0]
+        if first == current or any(i != first for i in ids):
+            return None
         if first == 0:
             event = DriftEvent(instance_index, "new", len(self.registry) + 1)
             if len(batch_std) >= self.config.rho:
@@ -501,7 +499,8 @@ class DriftGanDetector:
 
     def _register(self, window_std) -> int:
         """Store a standardized window as a new current distribution: grow
-        the discriminator (if any) by one output, train on every window."""
+        the discriminator (if any) by one output, train on every window,
+        and build the trained discriminator's bound for ``detect``."""
         dist_id = self.registry.add(window_std)
         if self.discriminator is not None:
             extend_output_layer(self.discriminator, self.rng)
@@ -509,6 +508,7 @@ class DriftGanDetector:
             self.registry, self.config, self.rng,
             self.generator, self.discriminator,
         )
+        self._bound = LogitBound(self.discriminator)
         self.registry.current = dist_id
         self._check_consistency()
         return dist_id

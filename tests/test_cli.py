@@ -181,7 +181,8 @@ def test_max_instances_below_one_is_usage_error(tmp_path, capsys):
     ("--batch-size", "0", "argument --batch-size"),
     ("--seq-len", "0", "argument --seq-len"),
     ("--rho", "3", "rho must be at least seq_len + 1"),
-    ("--lambda", "2", "historical_fraction must be in [0, 1]"),
+    ("--lambda", "2", "argument --lambda"),
+    ("--lambda", "nan", "argument --lambda"),
 ])
 def test_bad_detector_setting_is_usage_error_before_the_stream_loads(
         tmp_path, capsys, flag, value, message):
@@ -247,6 +248,7 @@ def test_config_file_keys_are_read_as_their_flags(tmp_path, monkeypatch):
 @pytest.mark.parametrize("line, message", [
     ("rho = abc", "argument --rho: invalid int value: 'abc'"),
     ("max-instances = 0", "argument --max-instances"),
+    ("lambda = 2", "argument --lambda"),
     ("historical_fraction = 0.5", "unknown config key"),
 ])
 def test_config_file_bad_value_is_usage_error_naming_the_file(

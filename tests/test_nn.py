@@ -10,6 +10,7 @@ from driftbench.nn import (
     ADADELTA_BLOCK,
     ADADELTA_DECAY,
     AdadeltaState,
+    LogitBound,
     Network,
     TrainingDivergedError,
     _backward,
@@ -57,6 +58,22 @@ def test_forward_batch_matches_single():
     batch = rng.normal(size=(6, 4))
     rows = np.vstack([net.forward(row[None, :]) for row in batch])
     assert np.allclose(net.forward(batch), rows)
+
+
+def test_logit_bound_certifies_nothing_it_cannot_bound():
+    net = Network([2, 8, 8, 2], np.random.default_rng(0), np.float32)
+    net.layers[-1].bias[...] = [10.0, 0.0]
+    bound = LogitBound(net)
+    assert bound.argmax_is(net, [1.0, -1.0], 0)
+    assert not bound.argmax_is(net, [1.0, -1.0], 1)
+    # NaN; large enough that a float32 forward could overflow; beyond
+    # float32 (the bound's products then meet NaN and inf)
+    for row in ([np.nan, -1.0], [3e38, -3e38], [1e39, 0.0]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(bound.radii(row)))
+            assert not bound.argmax_is(net, row, 0)
+    with pytest.raises(ValueError, match="float32"):
+        LogitBound(small_net([2, 2]))
 
 
 def test_forward_is_relu_hidden_layers_under_a_linear_head():

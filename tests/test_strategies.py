@@ -116,6 +116,8 @@ def stub_training(monkeypatch):
     monkeypatch.setattr(detector_module, "train_gan", train)
     monkeypatch.setattr(detector_module, "extend_output_layer",
                         lambda network, rng: None)
+    # a stub is no float32 network to bound, so no batch is screened
+    monkeypatch.setattr(detector_module, "LogitBound", lambda network: None)
 
 
 def assert_refits_on_history_then_triggering_batch(monkeypatch, rho,
