@@ -46,6 +46,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    """Argparse type of ``--seed``: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _unit_fraction(text: str) -> float:
     """Argparse type of ``--lambda``: a number in [0, 1]."""
     try:
@@ -83,7 +91,7 @@ def _add_common(parser):
     parser.add_argument("--max-instances", type=_positive_int,
                         help="truncate the stream after this many instances "
                              "(default: no limit)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_nonnegative_int, default=0,
                         help="random seed (default: 0)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
@@ -117,7 +125,7 @@ def build_parser() -> _Parser:
                        help="per-feature Gaussian noise sigma (default: 0.5)")
     synth.add_argument("--name", default="synthetic",
                        help="output file stem (default: synthetic)")
-    synth.add_argument("--seed", type=int, default=0,
+    synth.add_argument("--seed", type=_nonnegative_int, default=0,
                        help="random seed (default: 0)")
     synth.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (default: current directory)")

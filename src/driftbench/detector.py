@@ -87,6 +87,10 @@ class DetectorConfig:
             raise ValueError("historical_fraction must be in [0, 1]")
         if self.seq_len < 1:
             raise ValueError("seq_len must be >= 1")
+        if self.gan_max_epochs < 1:
+            raise ValueError("gan_max_epochs must be >= 1")
+        if np.isnan(self.disc_loss_threshold):
+            raise ValueError("disc_loss_threshold must not be NaN")
 
 
 @dataclass

@@ -34,7 +34,9 @@ Adadelta updates ``params`` in one pass over the flat buffers.
 
 ``LogitBound`` bounds the rounding error of a float32 forward pass, so
 one forward of a row alone can tell which class every batched forward
-of that row picks, when the margin allows.
+of that row picks, when the margin allows. It bounds a network of any
+depth, and each of its bounds is affine in the row's 2-norm, so a row
+of d inputs to a network of k outputs costs O(d + k) work.
 """
 
 from __future__ import annotations
@@ -171,129 +173,96 @@ class Network:
 # K·2^-126 covers many times over.
 #
 # One layer. Suppose |h_{l-1}| ≤ m and |ĥ_{l-1} − h_{l-1}| ≤ e
-# componentwise (at the input m = |x| and e = 0). For the unit with
-# weight column w and bias b take M ≥ mᵀ|w| and P ≥ eᵀ|w|, so that
-# |ĥ_{l-1}|ᵀ|w| ≤ M + P. The computed sum ŝ is within γ_K·(M + P) +
-# K·2^-126 of ĥ_{l-1}ᵀw, which is within P of h_{l-1}ᵀw, and the bias
-# add rounds by at most u·|ŝ + b| ≤ u·((1 + γ_K)·(M + P) + |b|). So
+# componentwise. For the unit with weight column w and bias b take
+# M ≥ mᵀ|w| and P ≥ eᵀ|w|, so that |ĥ_{l-1}|ᵀ|w| ≤ M + P. The computed
+# sum ŝ is within γ_K·(M + P) + K·2^-126 of ĥ_{l-1}ᵀw, which is within P
+# of h_{l-1}ᵀw, and the bias add rounds by at most u·|ŝ + b| ≤
+# u·((1 + γ_K)·(M + P) + |b|). So
 #     |ẑ − z| ≤ g·(M + P) + P + r = e',   |z| ≤ M + |b| = m',
 # with g = γ_K + u·(1 + γ_K) and r = u·|b| + K·2^-126. ReLU is
 # 1-Lipschitz and |relu(z)| ≤ |z|, so (m', e') bound the next layer's
 # input in turn.
 #
-# Which M and P. The first layer and the head are narrow, so they take
-# the exact products M = m·|W| and P = e·|W|: after the first layer
-# m = |x|·|W| + |b| and e = g·|x|·|W| + r. A layer between hidden layers
-# would cost as much as the forward that way, so it takes Cauchy–Schwarz
-# with its column 2-norms c: M = ‖m‖·c and P = ‖e‖·c, and its outputs
-# are m' = ‖m‖·c + |b| and e' = α·c + r, α = g·(‖m‖ + ‖e‖) + ‖e‖ (so
-# ‖m'‖ ≤ ‖m‖·‖W‖_F + ‖b‖, the Frobenius bound). Each bound is thus fixed
-# vectors plus row-dependent multiples of them, and the norms and the
-# head's products reduce to precomputed ones: ‖|x|·|W| + |b|‖² =
-# |x|ᵀ(|W||W|ᵀ)|x| + 2|x|·(|W||b|) + ‖b‖², ‖s·c + |b|‖² = s²‖c‖² +
-# 2s·(c·|b|) + ‖b‖², and (s·c + |b|)·|W| = s·(c·|W|) + |b|·|W|. A row
-# costs O(d² + k) work and no vector of the hidden width.
+# Which M and P. At the input m = |x| and e = 0. The first layer takes
+# Cauchy–Schwarz, M = s·c with s = ‖x‖₂ and c its columns' 2-norms, and
+# P = 0; every later layer takes the exact products M = m·|W| and
+# P = e·|W|. So m and e start as s·slope + intercept with nonnegative
+# slope and intercept vectors, and each step above is linear in (M, P)
+# plus fixed vectors: every m, e and partial-sum bound keeps that form.
+# The build carries the four vectors of m and e through the layers, and
+# a row costs one norm and O(k) work for k logits.
 #
 # Every forward's logits are within e_L of the exact ones, so two
 # forwards of a row differ by at most r_L = 2·e_L. If the logits v of
 # one forward satisfy v_c − v_j > r_c + r_j for every j ≠ c, then logit c
 # is strictly the largest in every forward of the row: its argmax is c.
 #
-# The bound is computed in float64 from nonnegative terms, through fewer
-# than 10^4 roundings of relative size 2^-53 along any path, so it falls
-# short of the real-arithmetic bound by a factor above 1 − 2^-39;
+# The bound is computed in float64 from nonnegative terms, through at
+# most n roundings of relative size 2^-53 along any path (n is about
+# twice the layers' fan-ins summed), so it falls short of the
+# real-arithmetic bound by a factor above 1 − n·2^-53; for n < 2^32
 # BOUND_SLACK covers that and the float64 rounding of the comparison.
 # The argument assumes no overflow, so where a bound on a partial sum,
-# (1 + γ_K)·(M + P) + |b|, reaches OVERFLOW_GUARD the radii are
-# infinite. A row with a radius that is not finite is not certified.
+# (1 + γ_K)·(M + P) + |b|, may reach OVERFLOW_GUARD (s times the largest
+# slope of any unit plus the largest intercept) the radii are infinite.
+# A row with a radius that is not finite is not certified.
 
 UNIT_ROUNDOFF = 2.0 ** -24   # float32
 UNDERFLOW_PER_PRODUCT = 2.0 ** -126
 OVERFLOW_GUARD = 2.0 ** 126
 BOUND_SLACK = 1.0 + 2.0 ** -20
-COLUMN_NORM_ROWS = 32  # weight rows widened to float64 at a time
 
 
-def _column_norms(weights: np.ndarray) -> np.ndarray:
-    """Float64 2-norm of each column, ``COLUMN_NORM_ROWS`` rows at a time
-    (no float64 copy of the whole matrix)."""
-    squares = np.zeros(weights.shape[1])
-    for lo in range(0, len(weights), COLUMN_NORM_ROWS):
-        block = weights[lo:lo + COLUMN_NORM_ROWS].astype(np.float64)
-        squares += np.einsum("ij,ij->j", block, block)
-    return np.sqrt(squares)
-
-
-def _rounding_terms(layer: Layer):
-    """``(|b|, γ_K, g, r)`` of one layer, as the proof above names them."""
-    fan_in = layer.weights.shape[0]
-    u = UNIT_ROUNDOFF
-    gamma = fan_in * u / (1.0 - fan_in * u)
-    bias = np.abs(layer.bias.astype(np.float64))
-    return (bias, gamma, gamma + u * (1.0 + gamma),
-            u * bias + fan_in * UNDERFLOW_PER_PRODUCT)
+def _abs_blocks(weights: np.ndarray):
+    """``(row slice, |rows|)`` of ``weights`` widened to float64, about
+    32K entries at a time (never a float64 copy of the whole matrix)."""
+    step = max(1, 2 ** 15 // weights.shape[1])
+    for lo in range(0, len(weights), step):
+        rows = slice(lo, lo + step)
+        yield rows, np.abs(weights[rows].astype(np.float64))
 
 
 class LogitBound:
-    """Radii around a float32 network's logits that bound how far any
-    float32 forward of a row, alone or in a batch, can stray; the proof
-    is in the comment above. The network needs at least one layer
-    between hidden layers.
-
-    It keeps only products of the network's parameters as they were
-    when it was built, O(d² + k) numbers for d inputs and k outputs, and
-    certifies nothing once nn has changed them (``Network.version``) or
-    for any other network.
-    """
+    """Radii around the logits of a float32 network of any depth that
+    bound how far any float32 forward of a row, alone or in a batch, can
+    stray (proof above). Built from the parameters as they are, it keeps
+    O(k) numbers for k outputs and costs O(d + k) per row of d inputs;
+    it certifies nothing once nn has changed the parameters
+    (``Network.version``) or for any other network."""
 
     def __init__(self, net: Network):
         if net.params.dtype != np.float32:
             raise ValueError("LogitBound bounds float32 networks only")
-        if len(net.layers) < 3:
-            raise ValueError("LogitBound needs a layer between hidden layers")
         self.net, self.version = net, net.version
-        first, *hidden, head = net.layers
-        weights = np.abs(first.weights.astype(np.float64))
-        bias, gamma, g, rounding = _rounding_terms(first)
-        self._first = (weights @ weights.T, weights @ bias, bias @ bias,
-                       weights @ rounding, rounding @ rounding,
-                       weights.max(axis=1), bias.max(), gamma, g)
-        self._hidden = []
-        for layer in hidden:
-            norms = _column_norms(layer.weights)
-            bias, gamma, g, rounding = _rounding_terms(layer)
-            self._hidden.append((
-                norms @ norms, norms @ bias, bias @ bias, norms @ rounding,
-                rounding @ rounding, norms.max(), bias.max(), gamma, g))
-        weights = np.abs(head.weights.astype(np.float64))
-        # the last hidden layer's norms, |b| and r meet the head's |W|
-        self._head = (norms @ weights, bias @ weights, rounding @ weights,
-                      *_rounding_terms(head))
+        u, self.guard = UNIT_ROUNDOFF, np.zeros(2)
+        for depth, layer in enumerate(net.layers):
+            fan_in = layer.weights.shape[0]
+            gamma = fan_in * u / (1.0 - fan_in * u)
+            bias = np.abs(layer.bias.astype(np.float64))
+            # rows of products: M's slope and intercept in s, then P's
+            blocks = _abs_blocks(layer.weights)
+            if depth:  # the exact products M = m·|W|, P = e·|W|
+                products = sum(carried[:, rows] @ w for rows, w in blocks)
+            else:  # Cauchy–Schwarz: M = s·c, P = 0
+                c = np.sqrt(sum((w * w).sum(axis=0) for _, w in blocks))
+                products = np.vstack([c, np.zeros((3, len(c)))])
+            mag, err = products[:2], products[2:]
+            peak = (1.0 + gamma) * (mag + err)
+            peak[1] += bias
+            self.guard = np.maximum(self.guard, peak.max(axis=1))
+            err = (gamma + u * (1.0 + gamma)) * (mag + err) + err
+            err[1] += u * bias + fan_in * UNDERFLOW_PER_PRODUCT
+            mag[1] += bias
+            carried = np.vstack([mag, err])
+        self.slope, self.intercept = 2.0 * BOUND_SLACK * err
 
     def radii(self, row) -> np.ndarray:
-        """Per logit, the most two float32 forwards of ``row`` can differ
-        by."""
-        x = np.abs(np.asarray(row, dtype=np.float32).astype(np.float64))
-        gram, w_b, b_b, w_r, r_r, row_max, bias_max, gamma, g = self._first
-        quad = x @ gram @ x
-        norm_m = math.sqrt(quad + 2.0 * (x @ w_b) + b_b)
-        norm_e = math.sqrt(g * g * quad + 2.0 * g * (x @ w_r) + r_r)
-        peak = (1.0 + gamma) * (x @ row_max) + bias_max
-        for c_c, c_b, b_b, c_r, r_r, c_max, bias_max, gamma, g in self._hidden:
-            alpha = g * (norm_m + norm_e) + norm_e  # e' = alpha·c + r
-            peak = max(peak, (1.0 + gamma) * (norm_m + norm_e) * c_max
-                       + bias_max)
-            scale = norm_m  # m' = scale·c + |b|
-            norm_m = math.sqrt(scale * scale * c_c + 2.0 * scale * c_b + b_b)
-            norm_e = math.sqrt(alpha * alpha * c_c + 2.0 * alpha * c_r + r_r)
-        c_w, b_w, r_w, bias, gamma, g, rounding = self._head
-        mag = scale * c_w + b_w
-        err = alpha * c_w + r_w
-        peak = max(peak, (1.0 + gamma) * float((mag + err).max())
-                   + float(bias.max()))
-        if not peak < OVERFLOW_GUARD:
-            return np.full(len(err), np.inf)
-        return 2.0 * BOUND_SLACK * (g * (mag + err) + err + rounding)
+        """Per logit, the most two float32 forwards of ``row`` differ by."""
+        x = np.asarray(row, dtype=np.float32).astype(np.float64)
+        s = math.sqrt(x @ x)
+        if not s * self.guard[0] + self.guard[1] < OVERFLOW_GUARD:
+            return np.full(len(self.intercept), np.inf)
+        return s * self.slope + self.intercept
 
     def argmax_is(self, net: Network, row, label: int) -> bool:
         """True only if every float32 forward of ``row`` through ``net``,

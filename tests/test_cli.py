@@ -183,6 +183,8 @@ def test_max_instances_below_one_is_usage_error(tmp_path, capsys):
     ("--rho", "3", "rho must be at least seq_len + 1"),
     ("--lambda", "2", "argument --lambda"),
     ("--lambda", "nan", "argument --lambda"),
+    ("--seed", "-1", "argument --seed"),
+    ("--seed", "1.5", "argument --seed"),
 ])
 def test_bad_detector_setting_is_usage_error_before_the_stream_loads(
         tmp_path, capsys, flag, value, message):
@@ -249,6 +251,7 @@ def test_config_file_keys_are_read_as_their_flags(tmp_path, monkeypatch):
     ("rho = abc", "argument --rho: invalid int value: 'abc'"),
     ("max-instances = 0", "argument --max-instances"),
     ("lambda = 2", "argument --lambda"),
+    ("seed = -1", "argument --seed"),
     ("historical_fraction = 0.5", "unknown config key"),
 ])
 def test_config_file_bad_value_is_usage_error_naming_the_file(
@@ -274,6 +277,7 @@ def test_config_file_line_without_equals_names_file_and_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--len", "0"), ("--order", ","), ("--noise", "-1"), ("--noise", "nan"),
+    ("--seed", "-1"),
 ])
 def test_synth_bad_value_is_usage_error_naming_the_flag(
         tmp_path, capsys, flag, value):

@@ -375,12 +375,13 @@ def test_detect_needs_the_rows_after_the_head():
 # -- the one-row screen --------------------------------------------------------
 
 
-def discriminator(outputs, seed, favoured=None, shift=0.0):
-    """A float32 network of the discriminator's widths with nonzero
-    biases, as training leaves them; ``shift`` is added to the head bias
-    of class ``favoured``."""
+def discriminator(outputs, seed, favoured=None, shift=0.0,
+                  hidden=DISCRIMINATOR_HIDDEN):
+    """A float32 network of the discriminator's widths (or of the
+    ``hidden`` ones) with nonzero biases, as training leaves them;
+    ``shift`` is added to the head bias of class ``favoured``."""
     rng = np.random.default_rng(seed)
-    net = Network([4, *DISCRIMINATOR_HIDDEN, outputs], rng, NETWORK_DTYPE)
+    net = Network([4, *hidden, outputs], rng, NETWORK_DTYPE)
     for layer in net.layers:
         layer.bias[...] = rng.normal(0.0, 0.1, layer.bias.shape)
     if favoured is not None:
@@ -394,8 +395,8 @@ def std_batch(seed, n=100):
 
 def exact_radii(net, rows):
     """``LogitBound.radii`` of each row by the same proof with the exact
-    ``|W|`` product on every layer, its tightest form: the column-norm
-    step on the hidden-to-hidden layer may only widen it."""
+    ``|W|`` product on every layer, its tightest form: the bound's
+    Cauchy–Schwarz step on the first layer may only widen it."""
     u = 2.0 ** -24
     m = np.abs(np.asarray(rows, dtype=np.float32).astype(np.float64))
     e = np.zeros_like(m)
@@ -411,13 +412,18 @@ def exact_radii(net, rows):
     return 2.0 * e
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=2, max_value=5),
-       st.integers(min_value=0, max_value=4))
+       st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=3))
+@example(0, 3, 4, 0)
+@example(0, 3, 4, 3)
 def test_logit_bound_certifies_only_the_batch_forwards_class(
-        seed, outputs, ulps):
-    net = discriminator(outputs, seed)
+        seed, outputs, ulps, depth):
+    # the bound holds at any depth: 0 to 3 hidden layers of the
+    # discriminator's width
+    net = discriminator(outputs, seed, hidden=DISCRIMINATOR_HIDDEN[:1] * depth)
     batch = std_batch(seed + 1)
     # a near-tie: move a head bias so that row 0's top two logits differ
     # by a few ulps
@@ -553,6 +559,10 @@ def test_config_validation():
         DetectorConfig(batch_size=0).validate()
     with pytest.raises(ValueError):
         DetectorConfig(historical_fraction=1.5).validate()
+    with pytest.raises(ValueError, match="gan_max_epochs"):
+        DetectorConfig(gan_max_epochs=0).validate()
+    with pytest.raises(ValueError, match="disc_loss_threshold"):
+        DetectorConfig(disc_loss_threshold=float("nan")).validate()
 
 
 # -- GAN training (single-seed smoke; the full audit runs in acceptance) ------

@@ -12,7 +12,13 @@ digests, each cut to its first 16 hex digits:
 - ``accuracy``: ``repr(accuracy)`` and the per-instance hit trace;
 - ``params``: the generator's and the discriminator's ``params``;
 - ``registry``: every stored window and every labeled exemplar;
-- ``epochs``: the GAN epochs of each training.
+- ``epochs``: the GAN epochs of each training;
+
+and ``screen=<settled>/<screened>``: of the batches ``detect`` screened
+with the discriminator's one-row bound, how many the bound settled as no
+drift. Bit identity cannot show a screen that settles fewer batches, so
+this count does. It is taken by wrapping ``nn.LogitBound.argmax_is`` for
+the round, as the benchmark's tracer wraps what it times.
 
 Run it at two commits and compare the output. It imports the benchmark
 and changes nothing in it.
@@ -32,6 +38,8 @@ import run  # noqa: E402  (bench/run.py; imports this checkout's library)
 from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+from driftbench import nn  # noqa: E402
+
 
 def _digest(*parts) -> str:
     h = hashlib.sha256()
@@ -43,7 +51,17 @@ def _digest(*parts) -> str:
 def round_digests(workload, seed) -> dict:
     if workload.from_csv:
         run.write_stream(workload, seed)
-    result = run.run_round(workload, seed, Tracer(), run.LIGHT_TARGETS)
+    answers, argmax_is = [], nn.LogitBound.argmax_is
+
+    def counted(bound, *args):
+        answers.append(argmax_is(bound, *args))
+        return answers[-1]
+
+    nn.LogitBound.argmax_is = counted
+    try:
+        result = run.run_round(workload, seed, Tracer(), run.LIGHT_TARGETS)
+    finally:
+        nn.LogitBound.argmax_is = argmax_is
     detector = result["strategy"].detector
     events = [(e.instance_index, e.kind, e.dist_id)
               for e in detector.events]
@@ -58,6 +76,7 @@ def round_digests(workload, seed) -> dict:
                           detector.discriminator.params.tobytes()),
         "registry": _digest(*registry),
         "epochs": _digest(result["gan_epochs"]),
+        "screen": f"{sum(answers)}/{len(answers)}",
     }
 
 
