@@ -20,16 +20,35 @@ argmax; the generator's squared prediction error is computed here, in
 ``PROBE_RADIUS_SCALE``, ``REAL_JITTER_SCALE``) is fixed in module
 constants beside the network widths.
 
+The batch is the detector's unit. ``observe_batch`` takes the labeled
+instances up to the next decision (``rows_to_decision`` of them, or
+fewer) in one call. It files them as exemplars under the current id
+before anything is decided, in stream order, then standardizes the
+batch as one block and decides it, or completes a pending
+registration. Filing before deciding puts a drift's triggering batch
+under the old id; that order is a known fault, pinned by a test until
+the benchmark's attribution check changes with it.
+
 Nearly every batch of a stream is not a drift, and one row on the
-current id settles that. So ``detect`` first forwards the batch's first
-row alone and asks ``nn.LogitBound`` whether that row's argmax is the
-current id in every float32 forward of it, inside any batch as well. The
-bound assumes an IEEE float32 BLAS with no reduced-precision
-accumulation. When it cannot certify the row, ``detect`` classifies the
-whole batch and applies the unanimity rule; either way it decides
-exactly what the rule over the whole batch decides. The bound is built
-at the end of each registration, the one place the detector changes the
-discriminator.
+current id settles that. So ``detect`` first screens the batch's first
+row: one forward gives its logits, and ``nn.LogitBound`` gives radii
+within which every float32 forward of that row, alone or inside any
+batch, keeps them. If the current id's logit stays the largest within
+them, the batch is no drift. The bound assumes an IEEE float32 BLAS with
+no reduced-precision accumulation. When it cannot certify the row,
+``detect`` classifies the whole batch and applies the unanimity rule;
+either way it decides exactly what the rule over the whole batch
+decides. The bound is built at the end of each registration, the one
+place the detector changes the discriminator.
+
+When the stream is in memory, ``observe_batch`` is given the rows that
+follow, and one forward screens the first rows of the next
+``SCREEN_AHEAD`` batches: it reads those rows before they arrive. Only
+their compute moves, since the bound holds for any forward of a row: a
+kept screen serves the batch whose first row is the same vector at the
+same stream index, for the same discriminator at the same version, and
+is tested against the id current at that batch's decision. Decisions
+are therefore unchanged.
 """
 
 from __future__ import annotations
@@ -37,6 +56,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +86,7 @@ CE_GRAD_CLIP = 0.5       # CE grad norm cap, relative to the MSE grad
 PROBE_RADIUS_SCALE = 6.0  # probe keep-out, in mean NN distances
 REAL_JITTER_SCALE = 2.5   # window-vector jitter, in mean NN distances
 PER_DIST_CAP = 10000     # stored exemplars per distribution
+SCREEN_AHEAD = 32        # batches whose first rows one screen forward reads
 
 
 @dataclass
@@ -91,6 +112,8 @@ class DetectorConfig:
             raise ValueError("gan_max_epochs must be >= 1")
         if np.isnan(self.disc_loss_threshold):
             raise ValueError("disc_loss_threshold must not be NaN")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -111,6 +134,10 @@ class DistributionRecord:
 
     def add_exemplar(self, features, label) -> None:
         self.exemplars.append((np.asarray(features, dtype=float), int(label)))
+
+    def add_exemplars(self, rows, labels) -> None:
+        """File float64 rows with their int labels, in order."""
+        self.exemplars.extend(zip(rows, labels))
 
 
 class DistributionRegistry:
@@ -390,11 +417,12 @@ class DriftGanDetector:
     """Streaming drift detector around the GAN pair and the registry.
 
     Usage: ``initialize`` with the first ``rho`` feature vectors and file
-    their labels through ``add_exemplar``. Then feed every later labeled
-    instance to ``observe(x, y)``: it files the instance as an exemplar
-    and returns a ``DriftEvent`` when a batch signals a drift, ``None``
-    otherwise. ``last_batch`` holds the labeled instances of the last
-    decided batch, in stream order.
+    their labels through ``add_exemplar``. Then feed the later labeled
+    instances in stream order to ``observe_batch(X, y)``, at most
+    ``rows_to_decision`` of them per call, or one at a time to
+    ``observe(x, y)``. Both return a ``DriftEvent`` when a batch signals
+    a drift, ``None`` otherwise. ``last_batch`` holds the labeled
+    instances of the last decided batch, in stream order.
     """
 
     def __init__(self, config: DetectorConfig | None = None):
@@ -404,10 +432,15 @@ class DriftGanDetector:
         self.registry = DistributionRegistry()
         self.generator: Network | None = None
         self.discriminator: Network | None = None
-        self._bound: LogitBound | None = None  # detect's one-row screen
-        self._batch: list = []  # (features, label) since the last boundary
+        self._bound: LogitBound | None = None  # detect's screen
+        # screens taken ahead: stream index -> (standardized row, logits,
+        # radii), all for the discriminator and version in _screened_for
+        self._screens: dict = {}
+        self._screened_for = (None, None)
+        self._rows: list = []    # features since the last boundary
+        self._labels: list = []  # and their labels
         self._pending_window = None  # standardized start of a new window
-        self.last_batch: list = []  # the last decided batch, in stream order
+        self._last = ((), ())    # the last decided batch's rows and labels
         self.instances_seen = 0
         self.events: list[DriftEvent] = []
 
@@ -425,46 +458,82 @@ class DriftGanDetector:
         """Store a labeled instance under the current distribution."""
         self.registry.get(self.registry.current).add_exemplar(features, label)
 
-    def observe(self, features, label) -> DriftEvent | None:
-        """Consume one labeled instance; decide at batch boundaries.
+    @property
+    def last_batch(self) -> list:
+        """The last decided batch's ``(features, label)`` pairs, in
+        stream order."""
+        return list(zip(*self._last))
 
-        Instances are buffered raw, and their vectors standardized as one
-        block when the batch (or a pending registration window) is
-        complete.
+    @property
+    def rows_to_decision(self) -> int:
+        """Instances still to come before the next decision: the end of
+        the current batch, or of a pending registration window."""
+        if self._pending_window is not None:
+            return self.config.rho - len(self._pending_window) - len(self._rows)
+        return self.config.batch_size - len(self._rows)
+
+    def observe(self, features, label) -> DriftEvent | None:
+        """``observe_batch`` of one labeled instance."""
+        return self.observe_batch((features,), (label,))
+
+    def observe_batch(self, X, y, ahead=None) -> DriftEvent | None:
+        """Consume the next labeled instances, rows ``X`` with labels
+        ``y``; decide if they complete a batch.
+
+        At most ``rows_to_decision`` instances may come in one call. They
+        are filed as exemplars under the current id before anything is
+        decided, so a drift's batch is filed under the old id, as are the
+        instances of a pending registration window. Vectors are buffered
+        raw and standardized as one block when their batch (or pending
+        window) is complete.
+
+        ``ahead``, when given, is ``(rows, start)``: the stream's feature
+        rows, held in memory, and the index in them of the row that
+        follows ``X``. The screen then reads the first rows of later
+        batches before they arrive (see ``detect``); it copies none.
         """
         if self.discriminator is None:
             raise RuntimeError("detector not initialized")
-        # filed before the decision: a drift's batch misfiles under the old id
-        self.add_exemplar(features, label)
-        self.instances_seen += 1
-        self._batch.append((features, label))
+        due = self.rows_to_decision
+        if not 0 < len(X) <= due or len(y) != len(X):
+            raise ValueError(f"need 1 to {due} rows and one label per row, "
+                             f"got {len(X)} rows and {len(y)} labels")
+        rows = list(map(np.asarray, X, repeat(float)))
+        labels = list(map(int, y))
+        self.registry.get(self.registry.current).add_exemplars(rows, labels)
+        self.instances_seen += len(rows)
+        if self._rows or len(rows) < due:
+            self._rows.extend(rows)
+            self._labels.extend(labels)
+            if len(rows) < due:
+                return None
+            rows, labels, self._rows, self._labels = (
+                self._rows, self._labels, [], [])
         if self._pending_window is not None:
-            if len(self._pending_window) + len(self._batch) >= self.config.rho:
-                window = np.vstack([self._pending_window,
-                                    standardize([x for x, _ in self._batch])])
-                self._pending_window, self._batch = None, []
-                self.register_distribution(window[: self.config.rho])
+            window = np.vstack([self._pending_window, standardize(rows)])
+            self._pending_window = None
+            self.register_distribution(window)
             return None
-        if len(self._batch) < self.config.batch_size:
-            return None
-        self.last_batch, self._batch = self._batch, []
-        return self.detect(standardize([x for x, _ in self.last_batch]),
-                           self.instances_seen - 1)
+        self._last = (rows, labels)
+        return self.detect(standardize(rows), self.instances_seen - 1, ahead)
 
-    def detect(self, batch_std, instance_index: int) -> DriftEvent | None:
+    def detect(self, batch_std, instance_index: int,
+               ahead=None) -> DriftEvent | None:
         """Batch-consensus drift rule on standardized vectors.
 
         A drift needs every row of the batch on one id other than the
         current one. A first row that the discriminator's bound certifies
-        on the current id, from one forward of that row alone, settles
-        "no drift": the whole batch's forward puts it there too. Any
-        other batch is classified whole, and its rows must all map to
-        one non-current id.
+        on the current id settles "no drift": the whole batch's forward
+        puts it there too. Any other batch is classified whole, and its
+        rows must all map to one non-current id. With ``ahead`` (see
+        ``observe_batch``) the first row's screen also takes the first
+        rows of up to ``SCREEN_AHEAD - 1`` later batches, and keeps them
+        for their decisions (see the module docstring).
         """
-        bound, current = self._bound, self.registry.current
-        if bound is not None and bound.argmax_is(
-                self.discriminator, batch_std[0], current):
+        if self._bound is not None and self._screen_settles(
+                batch_std, instance_index, ahead):
             return None
+        current = self.registry.current
         ids = classify_batch(self.discriminator, batch_std)
         first = ids[0]
         if first == current or any(i != first for i in ids):
@@ -473,7 +542,7 @@ class DriftGanDetector:
             event = DriftEvent(instance_index, "new", len(self.registry) + 1)
             if len(batch_std) >= self.config.rho:
                 self.register_distribution(batch_std[-self.config.rho:])
-            else:  # observe buffers further instances until rho are there
+            else:  # observe_batch buffers further instances until rho
                 self._pending_window = batch_std
         else:
             self.registry.current = first
@@ -482,6 +551,34 @@ class DriftGanDetector:
         log.info("drift at instance %d: %s distribution %d",
                  instance_index, event.kind, event.dist_id)
         return event
+
+    def _screen_settles(self, batch_std, instance_index: int, ahead) -> bool:
+        """Whether the bound certifies the batch's first row on the
+        current id: from the row's kept screen if there is one for this
+        discriminator as it is now, else from a new screen."""
+        net, row = self.discriminator, np.asarray(batch_std[0])
+        index = instance_index + 1 - len(batch_std)  # the row's in the stream
+        kept = None
+        if self._screened_for == (net, net.version):
+            kept = self._screens.get(index)
+        if kept is None or kept[0].tobytes() != row.tobytes():
+            block, indices = row[None], [index]
+            if ahead is not None:  # rows[start] is at instance_index + 1
+                rows, start = ahead
+                step = self.config.batch_size
+                later = range(start, min(len(rows),
+                                         start + (SCREEN_AHEAD - 1) * step), step)
+                if later:
+                    block = np.vstack([block, standardize([rows[i] for i in later])])
+                    indices += [instance_index + 1 + i - start for i in later]
+            screen = self._bound.screen(net, block)
+            if screen is None:
+                return False
+            self._screens = dict(zip(indices, zip(block, *screen)))
+            self._screened_for = (net, net.version)
+            kept = self._screens[index]
+        _, logits, radii = kept
+        return bool(LogitBound.certified(logits, radii, self.registry.current))
 
     def historical_sample(self, dist_id: int) -> list:
         """Uniform sample without replacement of ceil(historical_fraction

@@ -95,19 +95,14 @@ def prequential_run(instances, strategy, *, dataset: str = "stream",
         raise ValueError(f"stream must yield at least rho + 1 = {rho + 1} instances")
     start = time.perf_counter()
     strategy.initialize(instances[:rho])
-    trace = []
-    correct = 0
-    for x, y in instances[rho:]:
-        hit = strategy.step(x, y) == y
-        correct += hit
-        if keep_trace:
-            trace.append(hit)
+    xs, ys = zip(*instances[rho:])
+    trace = [p == y for p, y in zip(strategy.steps(xs, ys), ys)]
     n_scored = len(instances) - rho
     report = RunReport(
         dataset=dataset,
         strategy=strategy.kind,
         params=strategy.get_params(),
-        accuracy=correct / n_scored,
+        accuracy=sum(trace) / n_scored,
         n_instances=len(instances),
         n_scored=n_scored,
         drift_events=list(strategy.drift_events),

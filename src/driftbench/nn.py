@@ -33,15 +33,15 @@ place; they are valid until the next backward pass on that network.
 Adadelta updates ``params`` in one pass over the flat buffers.
 
 ``LogitBound`` bounds the rounding error of a float32 forward pass, so
-one forward of a row alone can tell which class every batched forward
-of that row picks, when the margin allows. It bounds a network of any
-depth, and each of its bounds is affine in the row's 2-norm, so a row
-of d inputs to a network of k outputs costs O(d + k) work.
+one forward of a row, alone or in a block of rows, can tell which class
+every other forward of that row picks, when the margin allows. It
+bounds a network of any depth, and each of its bounds is affine in the
+row's 2-norm, so a row of d inputs to a network of k outputs costs
+O(d + k) work.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,28 +256,40 @@ class LogitBound:
             carried = np.vstack([mag, err])
         self.slope, self.intercept = 2.0 * BOUND_SLACK * err
 
-    def radii(self, row) -> np.ndarray:
-        """Per logit, the most two float32 forwards of ``row`` differ by."""
-        x = np.asarray(row, dtype=np.float32).astype(np.float64)
-        s = math.sqrt(x @ x)
-        if not s * self.guard[0] + self.guard[1] < OVERFLOW_GUARD:
-            return np.full(len(self.intercept), np.inf)
-        return s * self.slope + self.intercept
+    def radii(self, rows) -> np.ndarray:
+        """Per logit, the most two float32 forwards of a row differ by;
+        for one row, or per row of a block."""
+        x = np.asarray(rows, dtype=np.float32).astype(np.float64)
+        s = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+        bounded = s * self.guard[0] + self.guard[1] < OVERFLOW_GUARD
+        # an unbounded row's s is zeroed first, so no inf * 0 is formed
+        return np.where(bounded, np.where(bounded, s, 0.0) * self.slope
+                        + self.intercept, np.inf)
+
+    def screen(self, net: Network, rows):
+        """One forward of a block of rows through ``net``: their logits
+        (float64) and radii, or None when ``net`` is not the network
+        this bound was built for, as it was then. ``certified`` reads
+        them for any label, at any later time."""
+        if net is not self.net or net.version != self.version:
+            return None
+        return net.forward(rows).astype(np.float64), self.radii(rows)
+
+    @staticmethod
+    def certified(logits, radii, label: int) -> np.ndarray:
+        """Per row of a screen, True only if every float32 forward of
+        that row, alone or in any batch, has its argmax at ``label``.
+        A row with a radius that is not finite is not certified."""
+        margin = logits[..., label, None] - logits > radii[..., label, None] + radii
+        margin[..., label] = np.isfinite(radii[..., label])
+        return margin.all(axis=-1)
 
     def argmax_is(self, net: Network, row, label: int) -> bool:
-        """True only if every float32 forward of ``row`` through ``net``,
-        alone or in any batch, has its argmax at ``label``. Decided from
-        one forward of the row alone; False whenever ``net`` is not the
-        network this bound was built for, as it was then."""
-        if net is not self.net or net.version != self.version:
-            return False
-        radii = self.radii(row)
-        if not np.all(np.isfinite(radii)):
-            return False
-        logits = net.forward(np.asarray(row)[None])[0].astype(np.float64)
-        others = np.arange(len(logits)) != label
-        return bool(np.all(logits[label] - logits[others]
-                           > radii[label] + radii[others]))
+        """``certified`` for one row, from one forward of the row alone;
+        False whenever ``net`` is not the network this bound was built
+        for, as it was then."""
+        screen = self.screen(net, np.asarray(row)[None])
+        return screen is not None and bool(self.certified(*screen, label)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Streaming strategies: the GAN detector plus the three baselines.
 
 Every strategy wraps a Hoeffding tree, is initialized on the first
-``rho`` labeled instances, and then answers ``step(x, y)`` with the
-prediction made before the label is seen.
+``rho`` labeled instances, and then answers ``steps(xs, ys)`` with the
+prediction for each instance made before its label is seen;
+``step(x, y)`` is its one-instance call.
 """
 
 from __future__ import annotations
@@ -42,11 +43,22 @@ class Strategy:
         self._initialized = True
 
     def step(self, x, y: int) -> int:
+        return self.steps((x,), (y,))[0]
+
+    def steps(self, xs, ys) -> list[int]:
+        """Test-then-train over the next instances, rows ``xs`` with
+        labels ``ys``, in stream order: the prediction for each instance,
+        made before its label is seen."""
         if not self._initialized:
             raise RuntimeError("strategy not initialized")
-        prediction = self.classifier.predict(x)
-        self._learn(x, int(y))
-        return prediction
+        return self._steps(xs, ys)
+
+    def _steps(self, xs, ys) -> list[int]:
+        predictions = []
+        for x, y in zip(xs, ys):
+            predictions.append(self.classifier.predict(x))
+            self._learn(x, int(y))
+        return predictions
 
     def _learn(self, x, y: int) -> None:
         raise NotImplementedError
@@ -133,11 +145,26 @@ class DriftGanStrategy(Strategy):
         for x, y in instances:
             self.detector.add_exemplar(x, y)
 
-    def _learn(self, x, y: int) -> None:
-        self.classifier.partial_fit(x, y)
-        event = self.detector.observe(x, y)
-        if event is not None:
-            self._retrain(event)
+    def _steps(self, xs, ys) -> list[int]:
+        """Up to each decision of the detector: step the tree over the
+        rows, hand them to the detector in one call, and retrain on a
+        drift before the next row is predicted; the order of a
+        row-by-row loop, so every decision, retrain and prediction keeps
+        its place."""
+        tree, detector = self.classifier, self.detector
+        predictions = []
+        lo = 0
+        while lo < len(xs):
+            hi = min(len(xs), lo + detector.rows_to_decision)
+            X, y = xs[lo:hi], ys[lo:hi]
+            for x, label in zip(X, y):
+                predictions.append(tree.predict(x))
+                tree.partial_fit(x, label)
+            event = detector.observe_batch(X, y, ahead=(xs, hi))
+            if event is not None:
+                self._retrain(event)
+            lo = hi
+        return predictions
 
     def _retrain(self, event) -> None:
         training = []

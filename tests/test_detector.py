@@ -13,9 +13,11 @@ from driftbench.detector import (
     DISCRIMINATOR_HIDDEN,
     GENERATOR_HIDDEN,
     NETWORK_DTYPE,
+    SCREEN_AHEAD,
     DetectorConfig,
     DistributionRegistry,
     DriftGanDetector,
+    _nearest_distances,
     _new_pair,
     _prediction_loss,
     _sample_probes,
@@ -538,6 +540,102 @@ def test_each_registration_screens_with_its_own_discriminator(monkeypatch):
         assert rows == [1]
 
 
+def screened_ahead(net, current, batch_size=5, n_batches=4):
+    """A detector over ``net`` and a raw stream of ``n_batches`` batches,
+    its rows and labels."""
+    det = detector_with_network(net, current)
+    det.config.batch_size = batch_size
+    raw = np.random.default_rng(11).normal(size=(n_batches * batch_size, 4))
+    return det, tuple(raw), (0,) * len(raw)
+
+
+def feed(det, xs, ys, lo, hi):
+    return det.observe_batch(xs[lo:hi], ys[lo:hi], ahead=(xs, hi))
+
+
+def test_screen_ahead_forwards_later_first_rows_once():
+    net = discriminator(3, 0, 1, 10.0)
+    det, xs, ys = screened_ahead(net, current=1, n_batches=SCREEN_AHEAD + 2)
+    rows = forwarded_rows(net)
+    for lo in range(0, len(xs), 5):
+        assert feed(det, xs, ys, lo, lo + 5) is None
+    # this batch's first row and the next SCREEN_AHEAD - 1 batches' in one
+    # forward; the two batches past them in a second one
+    assert rows == [SCREEN_AHEAD, 2]
+
+
+def test_kept_screen_serves_only_the_vector_it_was_taken_of():
+    net = discriminator(3, 0, 1, 10.0)
+    det, xs, ys = screened_ahead(net, current=1)
+    rows = forwarded_rows(net)
+    feed(det, xs, ys, 0, 5)
+    # the second batch's first row was screened ahead as xs[5]; other
+    # rows arrive in its place
+    assert det.observe_batch(xs[10:15], ys[10:15]) is None
+    assert rows == [4, 1]
+
+
+def test_kept_screens_do_not_outlive_a_registration(monkeypatch):
+    # the registration grows and retrains the same network object, so
+    # only its version tells that the screens taken before it are stale
+    def train(registry, config, rng, generator=None, discriminator=None):
+        if discriminator is None:
+            discriminator = Network([4, 16, 16, 2], rng, NETWORK_DTYPE)
+        discriminator.layers[-1].bias[len(registry)] = 10.0
+        return generator, discriminator
+
+    monkeypatch.setattr(detector_module, "train_gan", train)
+    det = DriftGanDetector(DetectorConfig(rho=10, batch_size=5, seq_len=3))
+    det.initialize(np.random.default_rng(0).normal(size=(10, 4)))
+    net = det.discriminator
+    xs = tuple(np.random.default_rng(1).normal(size=(20, 4)))
+    ys = (0,) * len(xs)
+    rows = forwarded_rows(net)
+    assert feed(det, xs, ys, 0, 5) is None and rows == [4]
+    det.register_distribution(window(1, n=10))
+    assert det.discriminator is net and det.registry.current == 2
+    assert feed(det, xs, ys, 5, 10) is None
+    assert rows == [4, 3]  # screened again, for the grown network
+    assert det.events == []
+
+
+def test_kept_screen_is_tested_against_the_id_after_a_recurrence():
+    # every row is certified on id 2 while id 1 is current
+    net = discriminator(3, 0, 2, 10.0)
+    det, xs, ys = screened_ahead(net, current=1)
+    rows = forwarded_rows(net)
+    event = feed(det, xs, ys, 0, 5)
+    assert (event.kind, event.dist_id) == ("recurring", 2)
+    assert rows == [4, 5]  # the screen, then the whole batch
+    for lo in (5, 10, 15):
+        assert feed(det, xs, ys, lo, lo + 5) is None
+    assert rows == [4, 5]  # each settled on id 2 from its kept screen
+    assert len(det.events) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=2, max_value=5),
+       st.integers(min_value=0, max_value=4),
+       st.sampled_from([0.0, 0.3, 10.0]),
+       st.integers(min_value=1, max_value=4))
+def test_screens_ahead_decide_as_screens_alone(seed, outputs, favoured, shift,
+                                               current):
+    favoured, current = favoured % outputs, 1 + (current - 1) % (outputs - 1)
+    decided = []
+    for ahead in (True, False):
+        net = discriminator(outputs, seed, favoured, shift)
+        det, xs, ys = screened_ahead(net, current, batch_size=3, n_batches=6)
+        for lo in range(0, len(xs), 3):
+            if ahead:
+                feed(det, xs, ys, lo, lo + 3)
+            else:
+                det.observe_batch(xs[lo:lo + 3], ys[lo:lo + 3])
+        decided.append(([(e.instance_index, e.kind, e.dist_id)
+                         for e in det.events], det.registered))
+    assert decided[0] == decided[1]
+
+
 def test_inconsistent_discriminator_is_an_error():
     det = detector_with_stub(lambda row: 1, n_registered=2)
     det.discriminator = StubDiscriminator(lambda row: 1, 2)  # needs 3
@@ -563,6 +661,8 @@ def test_config_validation():
         DetectorConfig(gan_max_epochs=0).validate()
     with pytest.raises(ValueError, match="disc_loss_threshold"):
         DetectorConfig(disc_loss_threshold=float("nan")).validate()
+    with pytest.raises(ValueError, match="seed"):
+        DetectorConfig(seed=-1).validate()
 
 
 # -- GAN training (single-seed smoke; the full audit runs in acceptance) ------
@@ -752,6 +852,39 @@ def test_sample_probes_are_standardized_and_clear_of_every_real_vector(n):
     # standardized 4-vectors lie on a sphere of radius 2: none is 5 away
     none = _sample_probes(np.random.default_rng(n), n, real, 5.0)
     assert none.shape == (0, real.shape[1])
+
+
+@st.composite
+def distance_cases(draw):
+    """Rows of ``a`` and ``b`` (``a`` is ``b`` with ``skip_self``), with
+    zero rows and duplicated rows, and a block size that cuts ``a`` into
+    chunks of any length, one row up to all of them."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    skip_self = draw(st.booleans())
+    values = st.sampled_from([0.0, 1.0, -2.5, 0.1, 3.0, 1e-3])
+    row = st.lists(values, min_size=d, max_size=d)
+    b = draw(st.lists(row, min_size=1, max_size=8))
+    if skip_self:
+        a = b
+    else:
+        a = draw(st.lists(st.one_of(row, st.sampled_from(b)), max_size=8))
+    block = draw(st.integers(min_value=1, max_value=len(a) * len(b) * d + 1))
+    return (np.array(a, dtype=float).reshape(-1, d),
+            np.array(b, dtype=float).reshape(-1, d), skip_self, block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_cases())
+def test_nearest_distances_match_the_whole_block_norm(case):
+    a, b, skip_self, block = case
+    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    if skip_self:
+        np.fill_diagonal(dist, np.inf)
+    expected = dist.min(axis=1) if len(a) else np.empty(0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detector_module, "DISTANCE_BLOCK", block)
+        got = _nearest_distances(a, a if skip_self else b, skip_self)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_second_initialize_is_an_error():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_detector import StubDiscriminator
 
 import driftbench.detector as detector_module
@@ -177,6 +179,61 @@ def test_driftgan_retrains_alike_when_one_batch_fills_a_window(monkeypatch):
     # batch_size >= rho: the new distribution registers at the boundary
     assert_refits_on_history_then_triggering_batch(monkeypatch, rho=4,
                                                    batch_size=6)
+
+
+@st.composite
+def stub_streams(draw):
+    """Settings and a short labeled stream of signed segments (see
+    ``stub_training``), and the cut points of the calls that feed it."""
+    rho = draw(st.integers(min_value=4, max_value=12))
+    batch_size = draw(st.integers(min_value=1, max_value=15))
+    signs = [1.0] * rho
+    for positive, length in draw(st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=1, max_value=40)),
+            min_size=1, max_size=5)):
+        signs += [1.0 if positive else -1.0] * length
+    labels = draw(st.lists(st.integers(min_value=0, max_value=1),
+                           min_size=len(signs), max_size=len(signs)))
+    stream = [signed(sign * (1.0 + i), label)
+              for i, (sign, label) in enumerate(zip(signs, labels))]
+    cuts = draw(st.lists(st.integers(min_value=rho, max_value=len(stream)),
+                         max_size=6))
+    return rho, batch_size, stream, sorted(cuts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stub_streams())
+def test_block_path_matches_per_instance_steps(case):
+    rho, batch_size, stream, cuts = case
+    runs = []
+    for blocks in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            stub_training(patch)
+            strategy = make_strategy(
+                "driftgan", n_features=2, n_classes=2, rho=rho,
+                config=DetectorConfig(rho=rho, batch_size=batch_size,
+                                      seq_len=3, historical_fraction=0.5))
+            strategy.initialize(stream[:rho])
+            if blocks:  # the stream in calls cut at random points
+                predictions = []
+                for lo, hi in zip([rho, *cuts], [*cuts, len(stream)]):
+                    xs, ys = tuple(zip(*stream[lo:hi])) or ((), ())
+                    predictions += strategy.steps(xs, ys)
+            else:
+                predictions = [strategy.step(x, y) for x, y in stream[rho:]]
+        detector = strategy.detector
+        runs.append((
+            predictions,
+            [(e.instance_index, e.kind, e.dist_id) for e in detector.events],
+            pairs_of(detector.last_batch),
+            [pairs_of(record.exemplars)
+             for record in detector.registry.records],
+        ))
+    assert runs[0] == runs[1]
+
+
+def pairs_of(instances):
+    return [(x.tobytes(), type(y), y) for x, y in instances]
 
 
 def test_driftgan_recovers_on_recurring_stream():

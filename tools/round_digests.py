@@ -15,10 +15,14 @@ digests, each cut to its first 16 hex digits:
 - ``epochs``: the GAN epochs of each training;
 
 and ``screen=<settled>/<screened>``: of the batches ``detect`` screened
-with the discriminator's one-row bound, how many the bound settled as no
-drift. Bit identity cannot show a screen that settles fewer batches, so
-this count does. It is taken by wrapping ``nn.LogitBound.argmax_is`` for
-the round, as the benchmark's tracer wraps what it times.
+with the discriminator's bound, how many the bound settled as no drift.
+Bit identity cannot show a screen that settles fewer batches, so this
+count does. It counts the screens ``detect`` consumes, one per screened
+batch, whether the batch's first row was screened ahead with later
+batches or alone; rows screened ahead and never decided on are not
+counted. It is taken by wrapping
+``detector.DriftGanDetector._screen_settles`` for the round, as the
+benchmark's tracer wraps what it times.
 
 Run it at two commits and compare the output. It imports the benchmark
 and changes nothing in it.
@@ -38,7 +42,7 @@ import run  # noqa: E402  (bench/run.py; imports this checkout's library)
 from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from driftbench import nn  # noqa: E402
+from driftbench.detector import DriftGanDetector  # noqa: E402
 
 
 def _digest(*parts) -> str:
@@ -51,17 +55,17 @@ def _digest(*parts) -> str:
 def round_digests(workload, seed) -> dict:
     if workload.from_csv:
         run.write_stream(workload, seed)
-    answers, argmax_is = [], nn.LogitBound.argmax_is
+    answers, settles = [], DriftGanDetector._screen_settles
 
-    def counted(bound, *args):
-        answers.append(argmax_is(bound, *args))
+    def counted(detector, *args):
+        answers.append(settles(detector, *args))
         return answers[-1]
 
-    nn.LogitBound.argmax_is = counted
+    DriftGanDetector._screen_settles = counted
     try:
         result = run.run_round(workload, seed, Tracer(), run.LIGHT_TARGETS)
     finally:
-        nn.LogitBound.argmax_is = argmax_is
+        DriftGanDetector._screen_settles = settles
     detector = result["strategy"].detector
     events = [(e.instance_index, e.kind, e.dist_id)
               for e in detector.events]
