@@ -39,16 +39,18 @@ no reduced-precision accumulation. When it cannot certify the row,
 ``detect`` classifies the whole batch and applies the unanimity rule;
 either way it decides exactly what the rule over the whole batch
 decides. The bound is built at the end of each registration, the one
-place the detector changes the discriminator.
+place the detector changes the discriminator, and it is used only while
+it describes the discriminator as it is (``LogitBound.describes``).
 
 When the stream is in memory, ``observe_batch`` is given the rows that
 follow, and one forward screens the first rows of the next
 ``SCREEN_AHEAD`` batches: it reads those rows before they arrive. Only
-their compute moves, since the bound holds for any forward of a row: a
-kept screen serves the batch whose first row is the same vector at the
-same stream index, for the same discriminator at the same version, and
-is tested against the id current at that batch's decision. Decisions
-are therefore unchanged.
+their compute moves, since the bound holds for any forward of a row. So
+a screen is kept by the standardized row's bytes alone: it serves any
+later batch whose first row is that vector, wherever the row sits in
+the stream, until the next registration replaces the bound and the kept
+screens together. It is tested against the id current at that batch's
+decision, so decisions are unchanged.
 """
 
 from __future__ import annotations
@@ -131,13 +133,6 @@ class DistributionRecord:
         self.dist_id = dist_id
         self.window = np.asarray(window, dtype=float)  # (n, d)
         self.exemplars: deque = deque(maxlen=PER_DIST_CAP)
-
-    def add_exemplar(self, features, label) -> None:
-        self.exemplars.append((np.asarray(features, dtype=float), int(label)))
-
-    def add_exemplars(self, rows, labels) -> None:
-        """File float64 rows with their int labels, in order."""
-        self.exemplars.extend(zip(rows, labels))
 
 
 class DistributionRegistry:
@@ -417,8 +412,8 @@ class DriftGanDetector:
     """Streaming drift detector around the GAN pair and the registry.
 
     Usage: ``initialize`` with the first ``rho`` feature vectors and file
-    their labels through ``add_exemplar``. Then feed the later labeled
-    instances in stream order to ``observe_batch(X, y)``, at most
+    them with their labels through ``add_exemplars``. Then feed the later
+    labeled instances in stream order to ``observe_batch(X, y)``, at most
     ``rows_to_decision`` of them per call, or one at a time to
     ``observe(x, y)``. Both return a ``DriftEvent`` when a batch signals
     a drift, ``None`` otherwise. ``last_batch`` holds the labeled
@@ -433,10 +428,8 @@ class DriftGanDetector:
         self.generator: Network | None = None
         self.discriminator: Network | None = None
         self._bound: LogitBound | None = None  # detect's screen
-        # screens taken ahead: stream index -> (standardized row, logits,
-        # radii), all for the discriminator and version in _screened_for
+        # the bound's screens: standardized row bytes -> (logits, radii)
         self._screens: dict = {}
-        self._screened_for = (None, None)
         self._rows: list = []    # features since the last boundary
         self._labels: list = []  # and their labels
         self._pending_window = None  # standardized start of a new window
@@ -454,9 +447,19 @@ class DriftGanDetector:
         self._register(window)
         self.instances_seen = len(window)
 
+    def add_exemplars(self, X, y) -> tuple[list, list]:
+        """File labeled instances, rows ``X`` with labels ``y``, under the
+        current distribution in order, as float64 rows and int labels;
+        return those rows and labels."""
+        rows = list(map(np.asarray, X, repeat(float)))
+        labels = list(map(int, y))
+        self.registry.get(self.registry.current).exemplars.extend(
+            zip(rows, labels))
+        return rows, labels
+
     def add_exemplar(self, features, label) -> None:
-        """Store a labeled instance under the current distribution."""
-        self.registry.get(self.registry.current).add_exemplar(features, label)
+        """``add_exemplars`` of one labeled instance."""
+        self.add_exemplars((features,), (label,))
 
     @property
     def last_batch(self) -> list:
@@ -498,9 +501,7 @@ class DriftGanDetector:
         if not 0 < len(X) <= due or len(y) != len(X):
             raise ValueError(f"need 1 to {due} rows and one label per row, "
                              f"got {len(X)} rows and {len(y)} labels")
-        rows = list(map(np.asarray, X, repeat(float)))
-        labels = list(map(int, y))
-        self.registry.get(self.registry.current).add_exemplars(rows, labels)
+        rows, labels = self.add_exemplars(X, y)
         self.instances_seen += len(rows)
         if self._rows or len(rows) < due:
             self._rows.extend(rows)
@@ -531,7 +532,7 @@ class DriftGanDetector:
         for their decisions (see the module docstring).
         """
         if self._bound is not None and self._screen_settles(
-                batch_std, instance_index, ahead):
+                np.asarray(batch_std[0]), ahead):
             return None
         current = self.registry.current
         ids = classify_batch(self.discriminator, batch_std)
@@ -552,33 +553,26 @@ class DriftGanDetector:
                  instance_index, event.kind, event.dist_id)
         return event
 
-    def _screen_settles(self, batch_std, instance_index: int, ahead) -> bool:
-        """Whether the bound certifies the batch's first row on the
-        current id: from the row's kept screen if there is one for this
-        discriminator as it is now, else from a new screen."""
-        net, row = self.discriminator, np.asarray(batch_std[0])
-        index = instance_index + 1 - len(batch_std)  # the row's in the stream
-        kept = None
-        if self._screened_for == (net, net.version):
-            kept = self._screens.get(index)
-        if kept is None or kept[0].tobytes() != row.tobytes():
-            block, indices = row[None], [index]
-            if ahead is not None:  # rows[start] is at instance_index + 1
+    def _screen_settles(self, row, ahead) -> bool:
+        """Whether the bound, if it describes the discriminator, certifies
+        ``row`` on the current id: from the row's kept screen, or from a
+        new screen of it and of the first rows of later batches in
+        ``ahead``, kept in place of the old ones."""
+        if not self._bound.describes(self.discriminator):
+            return False
+        kept = self._screens.get(row.tobytes())
+        if kept is None:
+            block = row[None]
+            if ahead is not None:
                 rows, start = ahead
                 step = self.config.batch_size
-                later = range(start, min(len(rows),
-                                         start + (SCREEN_AHEAD - 1) * step), step)
-                if later:
-                    block = np.vstack([block, standardize([rows[i] for i in later])])
-                    indices += [instance_index + 1 + i - start for i in later]
-            screen = self._bound.screen(net, block)
-            if screen is None:
-                return False
-            self._screens = dict(zip(indices, zip(block, *screen)))
-            self._screened_for = (net, net.version)
-            kept = self._screens[index]
-        _, logits, radii = kept
-        return bool(LogitBound.certified(logits, radii, self.registry.current))
+                later = rows[start:start + (SCREEN_AHEAD - 1) * step:step]
+                if len(later):
+                    block = np.vstack([block, standardize(later)])
+            self._screens = dict(zip(map(np.ndarray.tobytes, block),
+                                     zip(*self._bound.screen(block))))
+            kept = self._screens[row.tobytes()]
+        return bool(LogitBound.certified(*kept, self.registry.current))
 
     def historical_sample(self, dist_id: int) -> list:
         """Uniform sample without replacement of ceil(historical_fraction
@@ -609,7 +603,7 @@ class DriftGanDetector:
             self.registry, self.config, self.rng,
             self.generator, self.discriminator,
         )
-        self._bound = LogitBound(self.discriminator)
+        self._bound, self._screens = LogitBound(self.discriminator), {}
         self.registry.current = dist_id
         self._check_consistency()
         return dist_id

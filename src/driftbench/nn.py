@@ -226,9 +226,10 @@ class LogitBound:
     """Radii around the logits of a float32 network of any depth that
     bound how far any float32 forward of a row, alone or in a batch, can
     stray (proof above). Built from the parameters as they are, it keeps
-    O(k) numbers for k outputs and costs O(d + k) per row of d inputs;
-    it certifies nothing once nn has changed the parameters
-    (``Network.version``) or for any other network."""
+    O(k) numbers for k outputs and costs O(d + k) per row of d inputs.
+    Its radii, and the screens it takes, hold only while it ``describes``
+    the network a caller forwards: the same object, unchanged by nn
+    since the build (``Network.version``)."""
 
     def __init__(self, net: Network):
         if net.params.dtype != np.float32:
@@ -256,6 +257,11 @@ class LogitBound:
             carried = np.vstack([mag, err])
         self.slope, self.intercept = 2.0 * BOUND_SLACK * err
 
+    def describes(self, net: Network) -> bool:
+        """Whether ``net`` is the network this bound was built for, as it
+        was then."""
+        return net is self.net and net.version == self.version
+
     def radii(self, rows) -> np.ndarray:
         """Per logit, the most two float32 forwards of a row differ by;
         for one row, or per row of a block."""
@@ -266,14 +272,12 @@ class LogitBound:
         return np.where(bounded, np.where(bounded, s, 0.0) * self.slope
                         + self.intercept, np.inf)
 
-    def screen(self, net: Network, rows):
-        """One forward of a block of rows through ``net``: their logits
-        (float64) and radii, or None when ``net`` is not the network
-        this bound was built for, as it was then. ``certified`` reads
-        them for any label, at any later time."""
-        if net is not self.net or net.version != self.version:
-            return None
-        return net.forward(rows).astype(np.float64), self.radii(rows)
+    def screen(self, rows):
+        """One forward of a block of rows through the bound's network:
+        their logits (float64) and radii. ``certified`` reads them for
+        any label, at any later time while the bound ``describes`` the
+        network."""
+        return self.net.forward(rows).astype(np.float64), self.radii(rows)
 
     @staticmethod
     def certified(logits, radii, label: int) -> np.ndarray:
@@ -283,13 +287,6 @@ class LogitBound:
         margin = logits[..., label, None] - logits > radii[..., label, None] + radii
         margin[..., label] = np.isfinite(radii[..., label])
         return margin.all(axis=-1)
-
-    def argmax_is(self, net: Network, row, label: int) -> bool:
-        """``certified`` for one row, from one forward of the row alone;
-        False whenever ``net`` is not the network this bound was built
-        for, as it was then."""
-        screen = self.screen(net, np.asarray(row)[None])
-        return screen is not None and bool(self.certified(*screen, label)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -141,9 +141,9 @@ class DriftGanStrategy(Strategy):
 
     def initialize(self, instances) -> None:
         super().initialize(instances)
-        self.detector.initialize([x for x, _ in instances])
-        for x, y in instances:
-            self.detector.add_exemplar(x, y)
+        X, y = zip(*instances)
+        self.detector.initialize(X)
+        self.detector.add_exemplars(X, y)
 
     def _steps(self, xs, ys) -> list[int]:
         """Up to each decision of the detector: step the tree over the

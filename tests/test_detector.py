@@ -104,16 +104,6 @@ def test_registry_assigns_dense_ids():
         reg.get(0)
 
 
-def test_exemplar_cap_evicts_oldest(monkeypatch):
-    monkeypatch.setattr(detector_module, "PER_DIST_CAP", 3)
-    reg = DistributionRegistry()
-    reg.add(window(0))
-    for i in range(5):
-        reg.get(1).add_exemplar([float(i)], i % 2)
-    stored = [int(x[0]) for x, _ in reg.get(1).exemplars]
-    assert stored == [2, 3, 4]
-
-
 def detector_with_exemplars(n, fraction):
     det = DriftGanDetector(DetectorConfig(historical_fraction=fraction))
     det.registry.add(window(0))
@@ -121,6 +111,27 @@ def detector_with_exemplars(n, fraction):
     for i in range(n):
         det.add_exemplar([float(i)], 0)
     return det
+
+
+def test_exemplar_cap_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(detector_module, "PER_DIST_CAP", 3)
+    det = detector_with_exemplars(0, 1.0)
+    det.add_exemplars([[float(i)] for i in range(5)], [i % 2 for i in range(5)])
+    stored = [int(x[0]) for x, _ in det.registry.get(1).exemplars]
+    assert stored == [2, 3, 4]
+
+
+def test_add_exemplars_files_float64_rows_and_int_labels_in_order():
+    det = detector_with_exemplars(1, 1.0)
+    rows, labels = det.add_exemplars([[1, 2], np.float32([3, 4])],
+                                     [np.int64(1), True])
+    stored = list(det.registry.get(1).exemplars)[1:]
+    assert [(x.tolist(), y) for x, y in stored] == [([1.0, 2.0], 1),
+                                                    ([3.0, 4.0], 1)]
+    assert all(x.dtype == np.float64 and type(y) is int for x, y in stored)
+    # the filed objects are the ones returned, so none is converted twice
+    assert all(a is b for a, (b, _) in zip(rows, stored))
+    assert labels == [y for _, y in stored]
 
 
 def test_historical_sample_fractions():
@@ -414,6 +425,14 @@ def exact_radii(net, rows):
     return 2.0 * e
 
 
+def certified_alone(bound, row, label):
+    """``LogitBound.certified`` for one row, from one forward of the row
+    alone through the bound's network: its float64 logits and radii."""
+    rows = np.asarray(row)[None]
+    logits = bound.net.forward(rows).astype(np.float64)
+    return bool(LogitBound.certified(logits, bound.radii(rows), label)[0])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=2, max_value=5),
@@ -437,9 +456,9 @@ def test_logit_bound_certifies_only_the_batch_forwards_class(
     ids = classify_batch(net, batch)
     for i, row in enumerate(batch):
         alone = int(np.argmax(net.forward(batch[i:i + 1])))
-        if bound.argmax_is(net, row, alone):
+        if certified_alone(bound, row, alone):
             assert ids[i] == alone
-    assert not any(bound.argmax_is(net, batch[0], c) for c in range(outputs))
+    assert not any(certified_alone(bound, batch[0], c) for c in range(outputs))
     # a lone row's logits and the batch's differ by about 1e-5 of the
     # radius, so a radius cut short certifies no wrong class here; the
     # proof's tightest form is what it falls below
@@ -498,12 +517,12 @@ def test_certified_batch_forwards_one_row_once():
     assert rows == [1]
 
 
-@pytest.mark.parametrize("change", ["assigned", "regrown", "retrained"])
-def test_changed_discriminator_is_not_screened_with_stale_bounds(change):
-    # each changed network still puts row 0 on the current id with a wide
-    # margin, so only the stale bound could settle the batch from one row
-    det = detector_with_network(discriminator(3, 0, 1, 10.0), current=1)
-    batch = std_batch(1)
+def change_discriminator(det, change, batch):
+    """Change ``det``'s discriminator outside a registration: assign
+    another network, grow and redraw its head, or take one training step
+    on ``batch``. Each changed network still puts a row on id 1 with a
+    wide margin, so only a stale bound could settle a batch from one
+    row."""
     if change == "assigned":
         det.discriminator = discriminator(3, 5, 1, 10.0)
     elif change == "regrown":
@@ -514,9 +533,23 @@ def test_changed_discriminator_is_not_screened_with_stale_bounds(change):
         net = det.discriminator
         train_step(net, batch, np.ones(len(batch), dtype=int),
                    AdadeltaState.for_param(net.params))
+
+
+@pytest.mark.parametrize("change", ["assigned", "regrown", "retrained"])
+def test_changed_discriminator_is_not_screened_with_stale_bounds(change):
+    det = detector_with_network(discriminator(3, 0, 1, 10.0), current=1)
+    batch = std_batch(1)
+    change_discriminator(det, change, batch)
     rows = forwarded_rows(det.discriminator)
     assert det.detect(batch, 199) is None
     assert rows == [len(batch)]
+    # nor with the screens kept from before the change
+    det, xs, ys = screened_ahead(discriminator(3, 0, 1, 10.0), current=1)
+    assert feed(det, xs, ys, 0, 5) is None
+    change_discriminator(det, change, batch)
+    rows = forwarded_rows(det.discriminator)
+    assert feed(det, xs, ys, 5, 10) is None
+    assert rows == [5]
 
 
 def test_each_registration_screens_with_its_own_discriminator(monkeypatch):
@@ -569,10 +602,21 @@ def test_kept_screen_serves_only_the_vector_it_was_taken_of():
     det, xs, ys = screened_ahead(net, current=1)
     rows = forwarded_rows(net)
     feed(det, xs, ys, 0, 5)
-    # the second batch's first row was screened ahead as xs[5]; other
-    # rows arrive in its place
-    assert det.observe_batch(xs[10:15], ys[10:15]) is None
+    # xs[5] was screened ahead as the second batch's first row; xs[6],
+    # never screened, arrives in its place
+    assert det.observe_batch(xs[6:11], ys[6:11]) is None
     assert rows == [4, 1]
+
+
+def test_kept_screen_serves_its_row_at_any_position():
+    net = discriminator(3, 0, 1, 10.0)
+    det, xs, ys = screened_ahead(net, current=1)
+    rows = forwarded_rows(net)
+    feed(det, xs, ys, 0, 5)
+    # xs[10] was screened ahead as the third batch's first row; it
+    # arrives as the second batch's, and its kept screen settles it
+    assert det.observe_batch(xs[10:15], ys[10:15]) is None
+    assert rows == [4]
 
 
 def test_kept_screens_do_not_outlive_a_registration(monkeypatch):

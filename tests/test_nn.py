@@ -64,14 +64,20 @@ def test_logit_bound_certifies_nothing_it_cannot_bound():
     net = Network([2, 8, 8, 2], np.random.default_rng(0), np.float32)
     net.layers[-1].bias[...] = [10.0, 0.0]
     bound = LogitBound(net)
-    assert bound.argmax_is(net, [1.0, -1.0], 0)
-    assert not bound.argmax_is(net, [1.0, -1.0], 1)
+
+    def certified(row, label):  # from one forward of the row alone
+        rows = np.asarray(row)[None]
+        logits = net.forward(rows).astype(np.float64)
+        return bool(LogitBound.certified(logits, bound.radii(rows), label)[0])
+
+    assert certified([1.0, -1.0], 0)
+    assert not certified([1.0, -1.0], 1)
     # NaN; large enough that a float32 forward could overflow; beyond
     # float32 (the bound's products then meet NaN and inf)
     for row in ([np.nan, -1.0], [3e38, -3e38], [1e39, 0.0]):
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.all(np.isfinite(bound.radii(row)))
-            assert not bound.argmax_is(net, row, 0)
+            assert not certified(row, 0)
     with pytest.raises(ValueError, match="float32"):
         LogitBound(small_net([2, 2]))
 

@@ -20,9 +20,13 @@ Bit identity cannot show a screen that settles fewer batches, so this
 count does. It counts the screens ``detect`` consumes, one per screened
 batch, whether the batch's first row was screened ahead with later
 batches or alone; rows screened ahead and never decided on are not
-counted. It is taken by wrapping
-``detector.DriftGanDetector._screen_settles`` for the round, as the
-benchmark's tracer wraps what it times.
+counted. ``forwards=<n>`` counts the discriminator forwards made inside
+those screens. Bit identity cannot show a kept screen that is never
+served either: every bit and every ``screen=`` count stay, but each
+batch is forwarded alone, so this count does. Both are taken by
+wrapping ``detector.DriftGanDetector._screen_settles`` for the round, as
+the benchmark's tracer wraps what it times, and ``nn.Network.forward``
+while a screen runs.
 
 Run it at two commits and compare the output. It imports the benchmark
 and changes nothing in it.
@@ -43,6 +47,7 @@ from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from driftbench.detector import DriftGanDetector  # noqa: E402
+from driftbench.nn import Network  # noqa: E402
 
 
 def _digest(*parts) -> str:
@@ -55,10 +60,19 @@ def _digest(*parts) -> str:
 def round_digests(workload, seed) -> dict:
     if workload.from_csv:
         run.write_stream(workload, seed)
-    answers, settles = [], DriftGanDetector._screen_settles
+    answers, forwards = [], []
+    settles, forward = DriftGanDetector._screen_settles, Network.forward
+
+    def counted_forward(net, x):
+        forwards.append(len(x))
+        return forward(net, x)
 
     def counted(detector, *args):
-        answers.append(settles(detector, *args))
+        Network.forward = counted_forward
+        try:
+            answers.append(settles(detector, *args))
+        finally:
+            Network.forward = forward
         return answers[-1]
 
     DriftGanDetector._screen_settles = counted
@@ -81,6 +95,7 @@ def round_digests(workload, seed) -> dict:
         "registry": _digest(*registry),
         "epochs": _digest(result["gan_epochs"]),
         "screen": f"{sum(answers)}/{len(answers)}",
+        "forwards": len(forwards),
     }
 
 
