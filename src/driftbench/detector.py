@@ -102,6 +102,10 @@ class DetectorConfig:
     disc_loss_threshold: float = 0.1
 
     def validate(self) -> None:
+        for name in ("rho", "batch_size", "seq_len", "seed", "gan_max_epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rho < self.seq_len + 1:
             raise ValueError("rho must be at least seq_len + 1")
         if self.batch_size < 1:
@@ -336,10 +340,10 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
             seq_batch, next_batch, id_batch = seqs[take], nexts[take], seq_ids[take]
 
             # the generator does not change during the discriminator
-            # steps, so one cached pass gives the fakes and feeds the
-            # generator step
-            pre, post = generator.forward_cached(seq_batch)
-            fake = post[-1]
+            # steps, so one pass gives the fakes (its last activation) and
+            # the activations the generator step backpropagates through
+            acts = generator.forward_cached(seq_batch)
+            fake = acts[-1]
 
             # discriminator steps: real vectors keep their ids; fakes and
             # unseen-region probes are class 0. Reals get double weight so
@@ -370,7 +374,9 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
             # id. The adversarial pull is capped relative to the prediction
             # gradient so it cannot drag fakes into a foreign real region.
             # loss_gradients computes only the fakes' gradient and leaves
-            # discriminator.grads as the last discriminator step wrote them.
+            # discriminator.grads as the last discriminator step wrote them;
+            # _backward reads the activations of the pass that made the
+            # fakes.
             mse_value, mse_grad = _prediction_loss(fake, next_batch)
             ce_value, ce_grad = loss_gradients(discriminator, fake, id_batch)
             mse_norm = float(np.linalg.norm(mse_grad))
@@ -380,7 +386,7 @@ def _train_gan_once(registry, config, rng, generator, discriminator):
             gen_loss = mse_value + ce_value
             if not np.isfinite(gen_loss):
                 raise TrainingDivergedError(f"non-finite generator loss: {gen_loss}")
-            _backward(generator, pre, post, mse_grad + ce_grad)
+            _backward(generator, acts, mse_grad + ce_grad)
             apply_gradients(generator, gen_opt)
 
         # stop once the discriminator separates all reals from current fakes

@@ -18,6 +18,14 @@ writes no parameter gradient.
 Everything runs on numpy arrays; there is no autodiff graph. Inputs are
 batches, one row per example.
 
+One layer loop runs every forward pass. It builds the activation list
+``[input, h1, ..., logits]``, adding each bias and applying each ReLU
+in place on the product the layer just allocated, so a layer's output
+costs one array and the caller's input is never written. ``forward``
+returns the list's last entry and ``forward_cached`` the whole list,
+which is all the backward reads: a ReLU's output is positive exactly
+where its input is, so ``h > 0`` is the ReLU's mask.
+
 Each network keeps all of its parameters in one contiguous buffer,
 ``Network.params``, and their gradients in a second buffer of the same
 layout, ``Network.grads``. Both have the network's dtype (float64 unless
@@ -137,23 +145,23 @@ class Network:
 
     def forward(self, x) -> np.ndarray:
         """The head's outputs (the logits) for a batch, one row per input."""
-        out = self._as_batch(x)
-        for layer in self.layers[:-1]:
-            out = np.maximum(out @ layer.weights + layer.bias, 0.0)
-        last = self.layers[-1]
-        return out @ last.weights + last.bias
+        return self._activations(x)[-1]
 
-    def forward_cached(self, x):
-        """Forward pass keeping per-layer pre/post activations for backprop.
+    def forward_cached(self, x) -> list:
+        """The activations backprop reads: ``[input, h1, ..., logits]``."""
+        return self._activations(x)
 
-        The head is linear, so its post-activation is its pre-activation.
-        """
-        pre, post = [], [self._as_batch(x)]
+    def _activations(self, x) -> list:
+        """``[input, h1, ..., logits]`` from the one layer loop (see the
+        module docstring); the head is linear."""
+        acts = [self._as_batch(x)]
         for depth, layer in enumerate(self.layers, 1):
-            z = post[-1] @ layer.weights + layer.bias
-            pre.append(z)
-            post.append(z if depth == len(self.layers) else np.maximum(z, 0.0))
-        return pre, post
+            out = acts[-1] @ layer.weights
+            out += layer.bias
+            if depth < len(self.layers):
+                np.maximum(out, 0.0, out=out)
+            acts.append(out)
+        return acts
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +328,9 @@ def _loss_and_output_grad(logits: np.ndarray, targets):
 def batch_loss(net: Network, inputs, targets) -> float:
     """Loss value as used by train_step, from a forward pass alone.
 
-    Holds one layer's activations at a time and touches neither the
-    parameters nor ``net.grads``.
+    Its memory peak is the forward pass's, about the bytes of every
+    layer's output, and it touches neither the parameters nor
+    ``net.grads``.
     """
     return _loss_and_output_grad(net.forward(inputs), targets)[0]
 
@@ -333,33 +342,37 @@ def loss_gradients(net: Network, inputs, targets):
     ``targets`` are integer class indices. Only the inputs' gradient is
     computed: ``net.grads`` is left as it was.
     """
-    pre, _ = net.forward_cached(inputs)
-    value, delta = _loss_and_output_grad(pre[-1], targets)
+    acts = net.forward_cached(inputs)
+    value, delta = _loss_and_output_grad(acts[-1], targets)
     for i in range(len(net.layers) - 1, -1, -1):
-        delta = _to_inputs(delta, net.layers[i], pre[i - 1] if i else None)
+        delta = _to_inputs(delta, net.layers[i], acts[i] if i else None)
     return value, delta
 
 
-def _backward(net, pre, post, out_grad):
+def _backward(net, acts, out_grad):
     """Backpropagate ``out_grad``, the loss gradient with respect to the
-    head's outputs, and write the parameter gradients into ``net.grads``.
-    The gradient with respect to the inputs is not computed."""
+    head's outputs, through the activations ``acts`` of
+    ``net.forward_cached`` and write the parameter gradients into
+    ``net.grads``. The gradient with respect to the inputs is not
+    computed."""
     delta = out_grad
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        np.matmul(post[i].T, delta, out=layer.grad_weights)
+        np.matmul(acts[i].T, delta, out=layer.grad_weights)
         np.sum(delta, axis=0, out=layer.grad_bias)
         if i > 0:
-            delta = _to_inputs(delta, layer, pre[i - 1])
+            delta = _to_inputs(delta, layer, acts[i])
 
 
-def _to_inputs(delta, layer, pre_below=None):
+def _to_inputs(delta, layer, below=None):
     """Carry ``delta``, the loss gradient at a layer's outputs, to its
     inputs, and through the ReLU of the layer below when that layer's
-    pre-activation ``pre_below`` is given."""
+    output ``below`` is given. A ReLU's output is positive exactly where
+    its input is, so ``below > 0`` is the ReLU's mask; it is applied in
+    place."""
     delta = delta @ layer.weights.T
-    if pre_below is not None:
-        delta = delta * (pre_below > 0).astype(pre_below.dtype)
+    if below is not None:
+        delta *= below > 0
     return delta
 
 
@@ -442,11 +455,11 @@ def apply_gradients(net: Network, state: AdadeltaState) -> None:
 def train_step(net: Network, batch_inputs, batch_targets,
                state: AdadeltaState) -> float:
     """One backprop + Adadelta step; returns the pre-update mean batch loss."""
-    pre, post = net.forward_cached(batch_inputs)
-    value, out_grad = _loss_and_output_grad(pre[-1], batch_targets)
+    acts = net.forward_cached(batch_inputs)
+    value, out_grad = _loss_and_output_grad(acts[-1], batch_targets)
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite cross-entropy loss: {value}")
-    _backward(net, pre, post, out_grad)
+    _backward(net, acts, out_grad)
     apply_gradients(net, state)
     return value
 

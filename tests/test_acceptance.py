@@ -69,9 +69,8 @@ def test_criterion_1_gradient_correctness():
             # the discriminator's loss: cross entropy, backpropagated by
             # _backward from its output gradient, as train_step does
             targets = rng.integers(0, sizes[-1], size=4)
-            pre, post = net.forward_cached(inputs)
-            _backward(net, pre, post,
-                      _loss_and_output_grad(pre[-1], targets)[1])
+            acts = net.forward_cached(inputs)
+            _backward(net, acts, _loss_and_output_grad(acts[-1], targets)[1])
 
             def loss():
                 return batch_loss(net, inputs, targets)
@@ -79,9 +78,9 @@ def test_criterion_1_gradient_correctness():
             # the generator's: the mean squared error of its caller,
             # backpropagated by _backward from the output gradient
             targets = rng.normal(size=(4, sizes[-1]))
-            pre, post = net.forward_cached(inputs)
-            out = post[-1]
-            _backward(net, pre, post, 2.0 * (out - targets) / out.size)
+            acts = net.forward_cached(inputs)
+            out = acts[-1]
+            _backward(net, acts, 2.0 * (out - targets) / out.size)
 
             def loss():
                 return float(np.mean((net.forward(inputs) - targets) ** 2))

@@ -707,6 +707,14 @@ def test_config_validation():
         DetectorConfig(disc_loss_threshold=float("nan")).validate()
     with pytest.raises(ValueError, match="seed"):
         DetectorConfig(seed=-1).validate()
+    # a setting used as a count, an index or a seed must be an integer,
+    # or a run fails late with an unrelated TypeError
+    DetectorConfig(rho=np.int64(100), seed=np.int32(1)).validate()
+    for name, value in (("batch_size", 50.5), ("rho", 100.0), ("seq_len", 4.0),
+                        ("seed", 1.5), ("gan_max_epochs", 1.5),
+                        ("batch_size", True)):
+        with pytest.raises(ValueError, match=name):
+            DetectorConfig(**{name: value}).validate()
 
 
 # -- GAN training (single-seed smoke; the full audit runs in acceptance) ------
@@ -968,7 +976,7 @@ def _train_gan_peak_mb(n_windows, d=12):
 
 def test_train_gan_memory_does_not_grow_quadratically_with_the_registry():
     # The epoch-end passes over every stored row grow linearly, by about
-    # 37 MB from 5 to 40 windows here. A full (rows x rows x d) block of
+    # 11 MB from 5 to 40 windows here. A full (rows x rows x d) block of
     # nearest-neighbour differences would add about 85 MB more at 40
     # windows, and grows quadratically.
     growth = _train_gan_peak_mb(40) - _train_gan_peak_mb(5)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from driftbench.nn import (
     TrainingDivergedError,
     _backward,
     _loss_and_output_grad,
+    _to_inputs,
     adadelta_update,
     apply_gradients,
     batch_loss,
@@ -96,8 +98,27 @@ def test_forward_is_relu_hidden_layers_under_a_linear_head():
         expected = expected @ head.weights + head.bias
         assert np.any(expected < 0.0)  # no activation on the head
         assert np.array_equal(out, expected)
-        pre, post = net.forward_cached(batch)
-        assert np.array_equal(pre[-1], out) and np.array_equal(post[-1], out)
+        assert np.array_equal(net.forward_cached(batch)[-1], out)
+
+
+def test_a_forward_pass_holds_one_array_per_layer_output():
+    # the detector's generator over 2,000 rows: each bias add and ReLU
+    # runs in place on its layer's product, so the pass's peak is about
+    # the bytes of the layer outputs it returns or keeps
+    rows, sizes = 2000, [16, 128, 4096, 4]
+    net = Network(sizes, np.random.default_rng(0), np.float32)
+    x = np.random.default_rng(1).normal(size=(rows, 16)).astype(np.float32)
+    before = x.tobytes()
+    tracemalloc.start()
+    try:
+        out = net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = rows * sum(sizes[1:]) * np.dtype(np.float32).itemsize
+    assert peak < 1.25 * outputs
+    assert out.tobytes() == net.forward_cached(x)[-1].tobytes()
+    assert x.tobytes() == before
 
 
 def test_forward_rejects_wrong_width():
@@ -193,18 +214,18 @@ def _numeric_param_grads(net, loss, h=1e-5):
 def _mse_backward(net, inputs, targets):
     """The generator's backward pass: ``_backward`` under the gradient of
     the mean squared error with respect to the head's outputs."""
-    pre, post = net.forward_cached(inputs)
-    out = post[-1]
-    _backward(net, pre, post, 2.0 * (out - targets) / out.size)
+    acts = net.forward_cached(inputs)
+    out = acts[-1]
+    _backward(net, acts, 2.0 * (out - targets) / out.size)
 
 
 def _cross_entropy_backward(net, inputs, targets):
     """The discriminator's backward pass, as ``train_step`` runs it:
     ``_backward`` under the cross-entropy gradient with respect to the
     head's outputs. Returns the loss."""
-    pre, post = net.forward_cached(inputs)
-    value, out_grad = _loss_and_output_grad(pre[-1], targets)
-    _backward(net, pre, post, out_grad)
+    acts = net.forward_cached(inputs)
+    value, out_grad = _loss_and_output_grad(acts[-1], targets)
+    _backward(net, acts, out_grad)
     return value
 
 
@@ -253,9 +274,14 @@ def test_input_gradient_matches_finite_differences():
 
 def _full_backward(net, inputs, targets):
     """One loop computing every parameter gradient and the input gradient,
-    the reference for the two passes nn splits it into. Returns the loss,
-    the input gradient and ``(grad_weights, grad_bias)`` per layer."""
-    pre, post = net.forward_cached(inputs)
+    the reference for the two passes nn splits it into. It builds its own
+    pre-activations from the parameters and masks each ReLU with
+    ``pre > 0``. Returns the loss, the input gradient, ``(grad_weights,
+    grad_bias)`` per layer and the pre-activations."""
+    post, pre = [np.asarray(inputs, dtype=net.params.dtype)], []
+    for layer in net.layers:
+        pre.append(post[-1] @ layer.weights + layer.bias)
+        post.append(np.maximum(pre[-1], 0.0))
     value, delta = _loss_and_output_grad(pre[-1], targets)
     grads = []
     for i in range(len(net.layers) - 1, -1, -1):
@@ -264,7 +290,7 @@ def _full_backward(net, inputs, targets):
         delta = delta @ layer.weights.T
         if i > 0:
             delta = delta * (pre[i - 1] > 0).astype(pre[i - 1].dtype)
-    return value, delta, grads
+    return value, delta, grads, pre
 
 
 @pytest.mark.parametrize("sizes, dtype", [
@@ -278,7 +304,16 @@ def test_split_backward_passes_equal_the_full_backward_bit_for_bit(sizes, dtype)
         layer.bias[...] = rng.normal(0.0, 0.1, layer.bias.shape)
     inputs = rng.normal(size=(16, sizes[0]))
     targets = rng.integers(0, sizes[-1], size=16)
-    value, input_grad, grads = _full_backward(net, inputs, targets)
+    # the ReLU's kink: zero rows under hidden biases of +0.0, -0.0 and
+    # below zero give every hidden layer pre-activations of exactly zero,
+    # where nn's mask on the activations must block as the oracle's does
+    inputs[::4] = 0.0
+    for layer in net.layers[:-1]:
+        layer.bias[0::3] = 0.0
+        layer.bias[1::3] = -0.0
+        layer.bias[2::3] = -np.abs(layer.bias[2::3])
+    value, input_grad, grads, pre = _full_backward(net, inputs, targets)
+    assert all(np.any(z[::4] == 0.0) for z in pre[:-1])
 
     # loss_gradients: the same input gradient, and no parameter gradient
     got_value, got_input_grad = loss_gradients(net, inputs, targets)
@@ -291,6 +326,18 @@ def test_split_backward_passes_equal_the_full_backward_bit_for_bit(sizes, dtype)
     for layer, (grad_weights, grad_bias) in zip(net.layers, grads):
         assert layer.grad_weights.tobytes() == grad_weights.tobytes()
         assert layer.grad_bias.tobytes() == grad_bias.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_relu_mask_blocks_the_gradient_at_either_zero(dtype):
+    # an activation of -0.0 (a ReLU passes a pre-activation of -0.0 on
+    # as it is) masks like one of +0.0: neither is above zero
+    net = Network([2, 3, 2], np.random.default_rng(0), dtype)
+    below = np.array([[0.0, -0.0, 0.5], [-0.0, 2.0, 0.0]], dtype)
+    delta = np.random.default_rng(1).normal(size=(2, 2)).astype(dtype)
+    head = net.layers[-1]
+    expected = (delta @ head.weights.T) * np.array([[0, 0, 1], [0, 1, 0]], dtype)
+    assert _to_inputs(delta, head, below).tobytes() == expected.tobytes()
 
 
 def test_loss_gradients_validation():
@@ -378,8 +425,7 @@ def test_float32_network_keeps_every_array_float32(loss):
     rng = np.random.default_rng(3)
     inputs = rng.normal(size=(5, 3))  # float64 in, cast by the network
     assert net.forward(inputs).dtype == f32
-    assert all(a.dtype == f32 for part in net.forward_cached(inputs)
-               for a in part)
+    assert all(a.dtype == f32 for a in net.forward_cached(inputs))
     if loss == "mse":  # the generator's targets are cast like its inputs
         _mse_backward(net, inputs, rng.normal(size=(5, 4)).astype(f32))
     else:
