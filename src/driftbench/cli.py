@@ -74,7 +74,7 @@ def _add_common(parser):
                         help="dataset format (default: auto by suffix)")
     parser.add_argument("--ground-truth", type=Path,
                         help="ground-truth JSON for detection scoring")
-    parser.add_argument("--rho", type=int, default=100,
+    parser.add_argument("--rho", type=_positive_int, default=100,
                         help="training window size (default: 100)")
     parser.add_argument("--batch-size", type=_positive_int, default=100,
                         help="consensus batch size (default: 100)")
@@ -194,7 +194,8 @@ def cmd_compare(args) -> int:
             raise UsageError(
                 f"unknown strategy {kind!r}; choose from {STRATEGY_KINDS}"
             )
-    config = _detector_config(args)
+    # the GAN's settings bind driftgan alone
+    config = _detector_config(args) if "driftgan" in kinds else None
     instances, meta = streams.load(args.dataset, args.format, args.max_instances)
     if args.ground_truth is not None:
         meta.change_points, meta.segment_concepts = streams.read_ground_truth(

@@ -444,12 +444,20 @@ class DriftGanDetector:
         self.events: list[DriftEvent] = []
 
     def initialize(self, window_features) -> None:
-        """Train the initial GAN on the first rho raw feature vectors."""
+        """Train the initial GAN on the first rho raw feature vectors.
+
+        A vector needs at least 2 features: ``standardize`` maps every
+        one-feature row to ``[0.0]``, so no change could be seen.
+        """
         if len(self.registry):
             raise RuntimeError("detector already initialized")
         if len(window_features) < self.config.rho:
             raise ValueError(f"need {self.config.rho} vectors to initialize")
         window = standardize(window_features)
+        if window.shape[-1] < 2:
+            raise ValueError(
+                f"the detector needs at least 2 features, got "
+                f"{window.shape[-1]}: a one-feature row standardizes to 0")
         self._register(window)
         self.instances_seen = len(window)
 

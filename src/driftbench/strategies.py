@@ -4,10 +4,17 @@ Every strategy wraps a Hoeffding tree, is initialized on the first
 ``rho`` labeled instances, and then answers ``steps(xs, ys)`` with the
 prediction for each instance made before its label is seen;
 ``step(x, y)`` is its one-instance call.
+
+``Strategy.steps`` is the one test-then-train loop. Up to each boundary
+of the strategy it predicts each row and then learns it, unless the
+strategy never learns. The strategy then sees those rows and may name a
+training set, and the loop rebuilds the tree from it before the next
+row is predicted. A strategy is thus its boundary and its rebuild set.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .detector import DetectorConfig, DriftGanDetector
@@ -17,7 +24,10 @@ STRATEGY_KINDS = ("driftgan", "initial_learn", "regular_update", "regular_retrai
 
 
 class Strategy:
+    """Update the tree on every labeled instance; no boundary."""
+
     kind = "base"
+    learns = True  # partial_fit each row once it is predicted
 
     def __init__(self, n_features: int, n_classes: int, rho: int = 100):
         self.n_features = n_features
@@ -48,38 +58,51 @@ class Strategy:
     def steps(self, xs, ys) -> list[int]:
         """Test-then-train over the next instances, rows ``xs`` with
         labels ``ys``, in stream order: the prediction for each instance,
-        made before its label is seen."""
+        made before its label is seen. The one loop of every strategy
+        (see the module docstring)."""
         if not self._initialized:
             raise RuntimeError("strategy not initialized")
-        return self._steps(xs, ys)
-
-    def _steps(self, xs, ys) -> list[int]:
+        tree = self.classifier
+        predict = tree.predict
+        learn = tree.partial_fit if self.learns else (lambda x, label: None)
         predictions = []
-        for x, y in zip(xs, ys):
-            predictions.append(self.classifier.predict(x))
-            self._learn(x, int(y))
+        lo = 0
+        while lo < len(xs):
+            hi = min(len(xs), lo + self._rows_to_boundary())
+            X, y = xs[lo:hi], ys[lo:hi]
+            for x, label in zip(X, y):
+                predictions.append(predict(x))
+                learn(x, label)
+            training = self._rebuild_set(X, y, (xs, hi))
+            if training is not None:
+                tree.reset()
+                tree.fit_many(training)
+            lo = hi
         return predictions
 
-    def _learn(self, x, y: int) -> None:
-        raise NotImplementedError
+    def _rows_to_boundary(self) -> int | float:
+        """Rows still to come before the strategy's next boundary."""
+        return math.inf
+
+    def _rebuild_set(self, X, y, ahead):
+        """See the rows ``X``, labels ``y``, stepped since the last call,
+        up to a boundary or the end of a ``steps`` call; ``ahead`` is the
+        call's rows and the index in them of the next row. Return the
+        ``(x, y)`` pairs to rebuild the tree from, or ``None``."""
+        return None
 
 
 class InitialLearnStrategy(Strategy):
     """Train once on the initial window, never update."""
 
     kind = "initial_learn"
-
-    def _learn(self, x, y: int) -> None:
-        pass
+    learns = False
 
 
 class RegularUpdateStrategy(Strategy):
     """Incrementally update the tree on every labeled instance."""
 
     kind = "regular_update"
-
-    def _learn(self, x, y: int) -> None:
-        self.classifier.partial_fit(x, y)
 
 
 class RegularRetrainStrategy(Strategy):
@@ -89,11 +112,9 @@ class RegularRetrainStrategy(Strategy):
 
     def __init__(self, n_features, n_classes, rho=100, retrain_interval=None):
         super().__init__(n_features, n_classes, rho)
-        if retrain_interval is None:
-            retrain_interval = rho
-        elif retrain_interval < 1:
+        if retrain_interval is not None and retrain_interval < 1:
             raise ValueError("retrain_interval must be at least 1")
-        self.retrain_interval = retrain_interval
+        self.retrain_interval = retrain_interval or rho
         self._window: deque = deque(maxlen=rho)
         self._since_retrain = 0
 
@@ -106,14 +127,16 @@ class RegularRetrainStrategy(Strategy):
         super().initialize(instances)
         self._window.extend(instances)
 
-    def _learn(self, x, y: int) -> None:
-        self.classifier.partial_fit(x, y)
-        self._window.append((x, y))
-        self._since_retrain += 1
-        if self._since_retrain >= self.retrain_interval:
-            self._since_retrain = 0
-            self.classifier.reset()
-            self.classifier.fit_many(self._window)
+    def _rows_to_boundary(self) -> int:
+        return self.retrain_interval - self._since_retrain
+
+    def _rebuild_set(self, X, y, ahead):
+        self._window.extend(zip(X, y))
+        self._since_retrain += len(X)
+        if self._since_retrain < self.retrain_interval:
+            return None
+        self._since_retrain = 0
+        return self._window
 
 
 class DriftGanStrategy(Strategy):
@@ -145,45 +168,31 @@ class DriftGanStrategy(Strategy):
         self.detector.initialize(X)
         self.detector.add_exemplars(X, y)
 
-    def _steps(self, xs, ys) -> list[int]:
-        """Up to each decision of the detector: step the tree over the
-        rows, hand them to the detector in one call, and retrain on a
-        drift before the next row is predicted; the order of a
-        row-by-row loop, so every decision, retrain and prediction keeps
-        its place."""
-        tree, detector = self.classifier, self.detector
-        predictions = []
-        lo = 0
-        while lo < len(xs):
-            hi = min(len(xs), lo + detector.rows_to_decision)
-            X, y = xs[lo:hi], ys[lo:hi]
-            for x, label in zip(X, y):
-                predictions.append(tree.predict(x))
-                tree.partial_fit(x, label)
-            event = detector.observe_batch(X, y, ahead=(xs, hi))
-            if event is not None:
-                self._retrain(event)
-            lo = hi
-        return predictions
+    def _rows_to_boundary(self) -> int:
+        return self.detector.rows_to_decision
 
-    def _retrain(self, event) -> None:
-        training = []
-        if event.kind == "recurring":
-            training.extend(self.detector.historical_sample(event.dist_id))
-        training.extend(self.detector.last_batch)
-        self.classifier.reset()
-        self.classifier.fit_many(training)
+    def _rebuild_set(self, X, y, ahead):
+        event = self.detector.observe_batch(X, y, ahead=ahead)
+        if event is None:
+            return None
+        training = (self.detector.historical_sample(event.dist_id)
+                    if event.kind == "recurring" else [])
+        return training + self.detector.last_batch
 
 
-def make_strategy(kind: str, n_features: int, n_classes: int, *, rho: int = 100,
-                  retrain_interval: int | None = None,
+def make_strategy(kind: str, n_features: int, n_classes: int, *,
+                  rho: int | None = None, retrain_interval: int | None = None,
                   config: DetectorConfig | None = None) -> Strategy:
+    """A strategy of one of ``STRATEGY_KINDS``. The window is given once:
+    a given ``rho`` must equal a given config's, ``driftgan`` otherwise
+    takes the config's (default 100), and a baseline takes 100."""
     if kind == "driftgan":
         if config is None:
-            config = DetectorConfig(rho=rho)
-        elif config.rho != rho:
+            config = DetectorConfig() if rho is None else DetectorConfig(rho=rho)
+        elif rho not in (None, config.rho):
             raise ValueError(f"rho={rho} differs from the config's rho={config.rho}")
         return DriftGanStrategy(n_features, n_classes, config)
+    rho = 100 if rho is None else rho
     if kind == "initial_learn":
         return InitialLearnStrategy(n_features, n_classes, rho)
     if kind == "regular_update":

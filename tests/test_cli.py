@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import driftbench.cli as cli
 from driftbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
-from driftbench.streams import load_csv
+from driftbench.streams import LabeledInstance, load_csv, write_csv
 
 
 def synth_args(tmp_path, order="A,B", length=150, name="toy"):
@@ -84,6 +85,33 @@ def test_compare_rejects_unknown_strategy(tmp_path, capsys):
     ])
     assert code == EXIT_USAGE
     assert "unknown strategy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy, rho", [
+    ("initial_learn", "3"), ("regular_retrain", "4")])
+def test_gan_window_rule_binds_driftgan_alone(tmp_path, capsys, strategy,
+                                              rho):
+    # rho >= seq_len + 1 is a rule for the GAN's input sequences
+    main(synth_args(tmp_path))
+    code = main(["run", "--dataset", str(tmp_path / "toy.csv"),
+                 "--strategy", strategy, "--rho", rho,
+                 "--out", str(tmp_path / "results")])
+    assert code == EXIT_OK
+    code = main(["compare", "--dataset", str(tmp_path / "missing.csv"),
+                 "--strategies", f"{strategy},driftgan", "--rho", rho,
+                 "--out", str(tmp_path / "results")])
+    assert code == EXIT_USAGE
+    assert "rho must be at least seq_len + 1" in capsys.readouterr().err
+
+
+def test_one_feature_stream_is_a_driftgan_runtime_error(tmp_path, capsys):
+    rows = np.random.default_rng(0).normal(size=(150, 1))
+    write_csv([LabeledInstance(x, i % 2) for i, x in enumerate(rows)],
+              tmp_path / "one.csv")
+    code = main(["run", "--dataset", str(tmp_path / "one.csv"),
+                 "--rho", "20", "--out", str(tmp_path / "results")])
+    assert code == EXIT_RUNTIME
+    assert "at least 2 features, got 1" in capsys.readouterr().err
 
 
 def test_invalid_rho_is_usage_error(tmp_path, capsys):
@@ -248,7 +276,7 @@ def test_config_file_keys_are_read_as_their_flags(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("rho = abc", "argument --rho: invalid int value: 'abc'"),
+    ("rho = abc", "argument --rho: expected an integer >= 1, got 'abc'"),
     ("max-instances = 0", "argument --max-instances"),
     ("lambda = 2", "argument --lambda"),
     ("seed = -1", "argument --seed"),

@@ -939,6 +939,18 @@ def test_nearest_distances_match_the_whole_block_norm(case):
     assert got.tobytes() == expected.tobytes()
 
 
+def test_one_feature_window_is_an_error_before_training(monkeypatch):
+    # every one-feature row standardizes to [0.0], so no drift could show
+    def train(*args, **kwargs):
+        raise AssertionError("trained on one-feature rows")
+
+    monkeypatch.setattr(detector_module, "train_gan", train)
+    det = DriftGanDetector(DetectorConfig(rho=20))
+    with pytest.raises(ValueError, match="at least 2 features, got 1"):
+        det.initialize(np.random.default_rng(0).normal(size=(20, 1)))
+    assert len(det.registry) == 0 and det.discriminator is None
+
+
 def test_second_initialize_is_an_error():
     config = DetectorConfig(rho=20, gan_max_epochs=1)
     det = DriftGanDetector(config)

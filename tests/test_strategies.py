@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from test_detector import StubDiscriminator
 
 import driftbench.detector as detector_module
+import driftbench.tree as tree_module
 from driftbench.detector import DetectorConfig
 from driftbench.strategies import STRATEGY_KINDS, make_strategy
 from driftbench.streams import (
@@ -232,6 +233,80 @@ def test_block_path_matches_per_instance_steps(case):
     assert runs[0] == runs[1]
 
 
+@st.composite
+def baseline_streams(draw):
+    """Settings, a short labeled stream of two-feature rows and the cut
+    points of the calls that feed it. The first feature leans on the
+    label, so a split has a gain."""
+    rho = draw(st.integers(min_value=2, max_value=12))
+    retrain_interval = draw(st.integers(min_value=1, max_value=15))
+    n = draw(st.integers(min_value=rho, max_value=rho + 80))
+    values = draw(st.lists(st.integers(min_value=-2, max_value=2),
+                           min_size=2 * n, max_size=2 * n))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=2),
+                           min_size=n, max_size=n))
+    stream = [LabeledInstance(
+        np.array([2.0 * label + values[2 * i], values[2 * i + 1]]), label)
+        for i, label in enumerate(labels)]
+    cuts = draw(st.lists(st.integers(min_value=rho, max_value=n), max_size=6))
+    return rho, retrain_interval, stream, sorted(cuts)
+
+
+def replay_baseline(kind, rho, retrain_interval, stream):
+    """The baseline's tree run by hand: predict each row, then
+    ``partial_fit`` it unless the kind never learns. ``regular_retrain``
+    also rebuilds after every ``retrain_interval`` rows past the initial
+    window, from the last ``rho`` instances, the initial window's
+    included."""
+    tree = HoeffdingTreeClassifier(n_features=2, n_classes=3)
+    for x, y in stream[:rho]:
+        tree.partial_fit(x, y)
+    predictions = []
+    for i in range(rho, len(stream)):
+        x, y = stream[i]
+        predictions.append(tree.predict(x))
+        if kind == "initial_learn":
+            continue
+        tree.partial_fit(x, y)
+        if kind == "regular_retrain" and (i + 1 - rho) % retrain_interval == 0:
+            tree.reset()
+            tree.fit_many(stream[i + 1 - rho:i + 1])
+    return predictions, tree.n_nodes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(baseline_streams())
+def test_baselines_in_cut_calls_match_steps_and_a_tree_replay(case):
+    rho, retrain_interval, stream, cuts = case
+    for kind in ("initial_learn", "regular_update", "regular_retrain"):
+        runs = []
+        with pytest.MonkeyPatch.context() as patch:
+            # a leaf with two labels splits every 10 instances, so most
+            # short streams grow trees and the node counts tell
+            patch.setattr(tree_module, "GRACE_PERIOD", 10)
+            patch.setattr(tree_module, "TIE_THRESHOLD", 2.0)
+            runs.append(replay_baseline(kind, rho, retrain_interval, stream))
+            runs += [run_baseline(kind, rho, retrain_interval, stream, feed)
+                     for feed in (cuts, None)]
+        assert runs[0] == runs[1] == runs[2], kind
+
+
+def run_baseline(kind, rho, retrain_interval, stream, cuts):
+    """Predictions and final node count of the baseline fed the stream
+    in ``steps`` calls cut at ``cuts``, or by ``step`` when ``None``."""
+    strategy = make_strategy(kind, n_features=2, n_classes=3, rho=rho,
+                             retrain_interval=retrain_interval)
+    strategy.initialize(stream[:rho])
+    if cuts is None:
+        predictions = [strategy.step(x, y) for x, y in stream[rho:]]
+    else:
+        predictions = []
+        for lo, hi in zip([rho, *cuts], [*cuts, len(stream)]):
+            xs, ys = tuple(zip(*stream[lo:hi])) or ((), ())
+            predictions += strategy.steps(xs, ys)
+    return predictions, strategy.classifier.n_nodes()
+
+
 def pairs_of(instances):
     return [(x.tobytes(), type(y), y) for x, y in instances]
 
@@ -267,6 +342,11 @@ def test_driftgan_get_params_exposes_detector_config():
 def test_make_strategy_driftgan_window_has_one_value():
     strategy = make_strategy("driftgan", n_features=4, n_classes=2, rho=50)
     assert strategy.rho == strategy.detector.config.rho == 50
+    # a window set only in the config is the strategy's too
+    strategy = make_strategy("driftgan", n_features=4, n_classes=2,
+                             config=DetectorConfig(rho=50))
+    assert strategy.rho == strategy.detector.config.rho == 50
+    assert make_strategy("initial_learn", n_features=4, n_classes=2).rho == 100
     with pytest.raises(ValueError, match="rho"):
         make_strategy("driftgan", n_features=4, n_classes=2, rho=50,
                       config=DetectorConfig())
