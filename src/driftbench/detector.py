@@ -23,11 +23,16 @@ constants beside the network widths.
 The batch is the detector's unit. ``observe_batch`` takes the labeled
 instances up to the next decision (``rows_to_decision`` of them, or
 fewer) in one call. It files them as exemplars under the current id
-before anything is decided, in stream order, then standardizes the
-batch as one block and decides it, or completes a pending
-registration. Filing before deciding puts a drift's triggering batch
-under the old id; that order is a known fault, pinned by a test until
-the benchmark's attribution check changes with it.
+before anything is decided, in stream order, then decides the batch, or
+completes a pending registration. Filing before deciding puts a drift's
+triggering batch under the old id; that order is a known fault, pinned
+by a test until the benchmark's attribution check changes with it.
+
+A row stays the raw float64 row it was filed as. ``standardize`` runs
+only where a network reads rows: on a window as it is registered, on a
+batch the screen does not settle, and on a fresh screen's block. So a
+settled batch is never standardized. This rests on ``standardize``
+being row-wise: a row gives the same bytes alone as inside any block.
 
 Nearly every batch of a stream is not a drift, and one row on the
 current id settles that. So ``detect`` first screens the batch's first
@@ -46,11 +51,11 @@ When the stream is in memory, ``observe_batch`` is given the rows that
 follow, and one forward screens the first rows of the next
 ``SCREEN_AHEAD`` batches: it reads those rows before they arrive. Only
 their compute moves, since the bound holds for any forward of a row. So
-a screen is kept by the standardized row's bytes alone: it serves any
-later batch whose first row is that vector, wherever the row sits in
-the stream, until the next registration replaces the bound and the kept
-screens together. It is tested against the id current at that batch's
-decision, so decisions are unchanged.
+a screen is kept by the raw row's bytes alone, which fix its
+standardized vector: it serves any later batch whose first row is that
+row, wherever the row sits in the stream, until the next registration
+replaces the bound and the kept screens together. It is tested against
+the id current at that batch's decision, so decisions are unchanged.
 """
 
 from __future__ import annotations
@@ -165,20 +170,27 @@ def standardize(x) -> np.ndarray:
 
     Uses the population sigma. A row whose sigma is within rounding error
     of its mean (below 1e-11 of it) is constant up to rounding and maps
-    to zeros. Each centred row is scaled by a power of two that brings
-    its largest magnitude into [0.5, 1) before it is squared, so rows far
-    below 1e-154 or above 1e154 neither underflow nor overflow; the
-    scaling is exact, so it changes no bit of any other row.
+    to zeros. Each row is first scaled by a power of two that brings its
+    largest magnitude into [0.5, 1), so its mean, even of subnormal
+    values, keeps its precision, and rows far below 1e-154 or above
+    1e154 neither underflow nor overflow when squared; the scaling is
+    exact, so it changes no bit of any other row.
+
+    The contract: it is row-wise. Each row of a block gives the same
+    bytes alone as inside the block, whatever the block's other rows.
+    The detector's kept screens, keyed by raw rows, and its registration
+    windows, standardized whole from rows buffered raw, rely on it.
+    Being a function of the row's own features, it maps ``a * x + b``
+    with ``a > 0`` to the vector of ``x``, up to rounding.
     """
     arr = np.asarray(x, dtype=float)
-    mean = arr.mean(axis=-1, keepdims=True)
-    centered = arr - mean
-    _, exp = np.frexp(
-        np.abs(centered).max(axis=-1, keepdims=True, initial=0.0))
-    scaled = np.ldexp(centered, -exp)
-    sigma = np.sqrt((scaled * scaled).mean(axis=-1, keepdims=True))
-    flat = np.ldexp(sigma, exp) <= 1e-11 * np.abs(mean)
-    return np.where(flat, 0.0, scaled / np.where(flat, 1.0, sigma))
+    _, exp = np.frexp(np.abs(arr).max(axis=-1, keepdims=True, initial=0.0))
+    scaled = np.ldexp(arr, -exp)
+    mean = scaled.mean(axis=-1, keepdims=True)
+    centered = scaled - mean
+    sigma = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))
+    flat = sigma <= 1e-11 * np.abs(mean)
+    return np.where(flat, 0.0, centered / np.where(flat, 1.0, sigma))
 
 
 def classify_batch(discriminator: Network, batch) -> list[int]:
@@ -434,11 +446,11 @@ class DriftGanDetector:
         self.generator: Network | None = None
         self.discriminator: Network | None = None
         self._bound: LogitBound | None = None  # detect's screen
-        # the bound's screens: standardized row bytes -> (logits, radii)
+        # the bound's screens: raw row bytes -> (logits, radii)
         self._screens: dict = {}
-        self._rows: list = []    # features since the last boundary
+        self._rows: list = []    # raw features since the last boundary
         self._labels: list = []  # and their labels
-        self._pending_window = None  # standardized start of a new window
+        self._pending_window = None  # raw rows that start a new window
         self._last = ((), ())    # the last decided batch's rows and labels
         self.instances_seen = 0
         self.events: list[DriftEvent] = []
@@ -453,13 +465,12 @@ class DriftGanDetector:
             raise RuntimeError("detector already initialized")
         if len(window_features) < self.config.rho:
             raise ValueError(f"need {self.config.rho} vectors to initialize")
-        window = standardize(window_features)
-        if window.shape[-1] < 2:
-            raise ValueError(
-                f"the detector needs at least 2 features, got "
-                f"{window.shape[-1]}: a one-feature row standardizes to 0")
-        self._register(window)
-        self.instances_seen = len(window)
+        d = np.shape(window_features)[-1]
+        if d < 2:
+            raise ValueError(f"the detector needs at least 2 features, got "
+                             f"{d}: a one-feature row standardizes to 0")
+        self._register(window_features)
+        self.instances_seen = len(window_features)
 
     def add_exemplars(self, X, y) -> tuple[list, list]:
         """File labeled instances, rows ``X`` with labels ``y``, under the
@@ -500,9 +511,8 @@ class DriftGanDetector:
         At most ``rows_to_decision`` instances may come in one call. They
         are filed as exemplars under the current id before anything is
         decided, so a drift's batch is filed under the old id, as are the
-        instances of a pending registration window. Vectors are buffered
-        raw and standardized as one block when their batch (or pending
-        window) is complete.
+        instances of a pending registration window. Rows are buffered
+        raw until their batch, or pending window, is complete.
 
         ``ahead``, when given, is ``(rows, start)``: the stream's feature
         rows, held in memory, and the index in them of the row that
@@ -516,55 +526,54 @@ class DriftGanDetector:
             raise ValueError(f"need 1 to {due} rows and one label per row, "
                              f"got {len(X)} rows and {len(y)} labels")
         rows, labels = self.add_exemplars(X, y)
+        self._rows += rows
+        self._labels += labels
         self.instances_seen += len(rows)
-        if self._rows or len(rows) < due:
-            self._rows.extend(rows)
-            self._labels.extend(labels)
-            if len(rows) < due:
-                return None
-            rows, labels, self._rows, self._labels = (
-                self._rows, self._labels, [], [])
+        if len(rows) < due:
+            return None
+        rows, labels, self._rows, self._labels = (
+            self._rows, self._labels, [], [])
         if self._pending_window is not None:
-            window = np.vstack([self._pending_window, standardize(rows)])
-            self._pending_window = None
+            window, self._pending_window = self._pending_window + rows, None
             self.register_distribution(window)
             return None
         self._last = (rows, labels)
-        return self.detect(standardize(rows), self.instances_seen - 1, ahead)
+        return self.detect(rows, ahead)
 
-    def detect(self, batch_std, instance_index: int,
-               ahead=None) -> DriftEvent | None:
-        """Batch-consensus drift rule on standardized vectors.
+    def detect(self, rows, ahead=None) -> DriftEvent | None:
+        """Batch-consensus drift rule on a batch of raw rows that ends at
+        the last instance seen.
 
         A drift needs every row of the batch on one id other than the
         current one. A first row that the discriminator's bound certifies
         on the current id settles "no drift": the whole batch's forward
-        puts it there too. Any other batch is classified whole, and its
-        rows must all map to one non-current id. With ``ahead`` (see
-        ``observe_batch``) the first row's screen also takes the first
-        rows of up to ``SCREEN_AHEAD - 1`` later batches, and keeps them
-        for their decisions (see the module docstring).
+        puts it there too, and the batch is never standardized. Any other
+        batch is standardized and classified whole, and its rows must all
+        map to one non-current id. With ``ahead`` (see ``observe_batch``)
+        the first row's screen also takes the first rows of up to
+        ``SCREEN_AHEAD - 1`` later batches, and keeps them for their
+        decisions (see the module docstring).
         """
         if self._bound is not None and self._screen_settles(
-                np.asarray(batch_std[0]), ahead):
+                np.asarray(rows[0], dtype=float), ahead):
             return None
-        current = self.registry.current
-        ids = classify_batch(self.discriminator, batch_std)
+        current, index = self.registry.current, self.instances_seen - 1
+        ids = classify_batch(self.discriminator, standardize(rows))
         first = ids[0]
         if first == current or any(i != first for i in ids):
             return None
         if first == 0:
-            event = DriftEvent(instance_index, "new", len(self.registry) + 1)
-            if len(batch_std) >= self.config.rho:
-                self.register_distribution(batch_std[-self.config.rho:])
+            event = DriftEvent(index, "new", len(self.registry) + 1)
+            if len(rows) >= self.config.rho:
+                self.register_distribution(rows[-self.config.rho:])
             else:  # observe_batch buffers further instances until rho
-                self._pending_window = batch_std
+                self._pending_window = list(rows)
         else:
             self.registry.current = first
-            event = DriftEvent(instance_index, "recurring", first)
+            event = DriftEvent(index, "recurring", first)
         self.events.append(event)
         log.info("drift at instance %d: %s distribution %d",
-                 instance_index, event.kind, event.dist_id)
+                 index, event.kind, event.dist_id)
         return event
 
     def _screen_settles(self, row, ahead) -> bool:
@@ -582,9 +591,10 @@ class DriftGanDetector:
                 step = self.config.batch_size
                 later = rows[start:start + (SCREEN_AHEAD - 1) * step:step]
                 if len(later):
-                    block = np.vstack([block, standardize(later)])
-            self._screens = dict(zip(map(np.ndarray.tobytes, block),
-                                     zip(*self._bound.screen(block))))
+                    block = np.vstack([block, later], dtype=float)
+            self._screens = dict(zip(
+                map(np.ndarray.tobytes, block),
+                zip(*self._bound.screen(standardize(block)))))
             kept = self._screens[row.tobytes()]
         return bool(LogitBound.certified(*kept, self.registry.current))
 
@@ -600,17 +610,19 @@ class DriftGanDetector:
 
     # -- new-distribution registration ---------------------------------------
 
-    def register_distribution(self, window_std) -> int:
-        """Add a record, grow the discriminator, retrain the GAN."""
-        if len(window_std) < self.config.rho:
+    def register_distribution(self, window) -> int:
+        """Add a record of raw rows, grow the discriminator, retrain the
+        GAN."""
+        if len(window) < self.config.rho:
             raise ValueError(f"need at least rho={self.config.rho} vectors")
-        return self._register(window_std)
+        return self._register(window)
 
-    def _register(self, window_std) -> int:
-        """Store a standardized window as a new current distribution: grow
-        the discriminator (if any) by one output, train on every window,
-        and build the trained discriminator's bound for ``detect``."""
-        dist_id = self.registry.add(window_std)
+    def _register(self, window) -> int:
+        """Store a window of raw rows, standardized, as a new current
+        distribution: grow the discriminator (if any) by one output, train
+        on every window, and build the trained discriminator's bound for
+        ``detect``."""
+        dist_id = self.registry.add(standardize(window))
         if self.discriminator is not None:
             extend_output_layer(self.discriminator, self.rng)
         self.generator, self.discriminator = train_gan(

@@ -183,16 +183,16 @@ class DriftGanStrategy(Strategy):
 def make_strategy(kind: str, n_features: int, n_classes: int, *,
                   rho: int | None = None, retrain_interval: int | None = None,
                   config: DetectorConfig | None = None) -> Strategy:
-    """A strategy of one of ``STRATEGY_KINDS``. The window is given once:
-    a given ``rho`` must equal a given config's, ``driftgan`` otherwise
-    takes the config's (default 100), and a baseline takes 100."""
+    """A strategy of one of ``STRATEGY_KINDS``. The window is given once,
+    for every kind: a given ``rho`` must equal a given config's, and
+    either sets it (default 100)."""
+    if config is None:
+        config = DetectorConfig() if rho is None else DetectorConfig(rho=rho)
+    elif rho not in (None, config.rho):
+        raise ValueError(f"rho={rho} differs from the config's rho={config.rho}")
+    rho = config.rho
     if kind == "driftgan":
-        if config is None:
-            config = DetectorConfig() if rho is None else DetectorConfig(rho=rho)
-        elif rho not in (None, config.rho):
-            raise ValueError(f"rho={rho} differs from the config's rho={config.rho}")
         return DriftGanStrategy(n_features, n_classes, config)
-    rho = 100 if rho is None else rho
     if kind == "initial_learn":
         return InitialLearnStrategy(n_features, n_classes, rho)
     if kind == "regular_update":

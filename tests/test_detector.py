@@ -202,26 +202,28 @@ def detector_with_stub(id_of_row, n_registered=2, current=1):
         det.registry.add(window(seed, n=config.rho))
     det.registry.current = current
     det.discriminator = StubDiscriminator(id_of_row, 1 + n_registered)
-    det.instances_seen = config.rho
+    # as at the end of the first batch after the initial window, so a
+    # batch given to ``detect`` ends at instance 199
+    det.instances_seen = config.rho + config.batch_size
     return det
 
 
 def test_detect_unanimous_current_is_not_drift():
     det = detector_with_stub(lambda row: 1, current=1)
-    assert det.detect([np.zeros(4)] * 100, 199) is None
+    assert det.detect([np.zeros(4)] * 100) is None
     assert det.events == []
 
 
 def test_detect_split_batch_is_not_drift():
     calls = iter(range(10**6))
     det = detector_with_stub(lambda row: next(calls) % 2, current=1)
-    assert det.detect([np.zeros(4)] * 100, 199) is None
+    assert det.detect([np.zeros(4)] * 100) is None
     assert det.registry.current == 1
 
 
 def test_detect_unanimous_known_id_is_recurring():
     det = detector_with_stub(lambda row: 2, current=1)
-    decision = det.detect([np.zeros(4)] * 100, 199)
+    decision = det.detect([np.zeros(4)] * 100)
     assert decision.kind == "recurring" and decision.dist_id == 2
     assert det.registry.current == 2
     assert [(e.kind, e.dist_id) for e in det.events] == [("recurring", 2)]
@@ -232,8 +234,9 @@ def test_detect_unanimous_unseen_registers_new(monkeypatch):
     registered = []
     monkeypatch.setattr(det, "register_distribution",
                         lambda w: registered.append(list(w)) or 3)
-    decision = det.detect([np.zeros(4)] * 100, 199)
+    decision = det.detect([np.zeros(4)] * 100)
     assert decision.kind == "new" and decision.dist_id == 3
+    assert decision.instance_index == 199
     assert len(registered) == 1 and len(registered[0]) == 100
     assert [(e.kind, e.dist_id) for e in det.events] == [("new", 3)]
 
@@ -254,8 +257,9 @@ def test_detect_small_batch_buffers_until_rho(monkeypatch):
     assert events[:4] == [None] * 4 and events[-1].kind == "new"
     assert registered == []  # five vectors are not enough for a window yet
     assert [det.observe(x, 0) for x in raw[5:]] == [None] * 5
+    # the window is registered as the raw rows, in stream order
     assert len(registered) == 1
-    assert np.array_equal(np.array(registered[0]), standardize(raw))
+    assert np.array(registered[0]).tobytes() == raw.tobytes()
 
 
 def test_detect_large_batch_registers_its_last_rho_rows(monkeypatch):
@@ -273,9 +277,9 @@ def test_detect_large_batch_registers_its_last_rho_rows(monkeypatch):
     assert registered == []
     event = det.observe(raw[11], 0)
     assert (event.kind, event.dist_id, event.instance_index) == ("new", 2, 21)
-    # registered at this batch's boundary, from its last rho rows alone
-    [window_std] = registered
-    assert window_std.tobytes() == standardize(raw)[-10:].tobytes()
+    # registered at this batch's boundary, from its last rho raw rows
+    [rows] = registered
+    assert rows.tobytes() == raw[-10:].tobytes()
     assert det._pending_window is None
     assert det.observe(raw[0], 0) is None and len(registered) == 1
 
@@ -323,6 +327,16 @@ def test_pending_registration_files_each_instance_under_the_old_id(
     assert labeled(new.exemplars) == labeled(stream[10:])
 
 
+def one_hot_rows(ids):
+    """One row per id, the one-hot vector of the id over three features:
+    it standardizes to a vector whose argmax is still the id."""
+    return np.eye(3)[ids]
+
+
+def one_hot_id(row):
+    return int(np.argmax(row))
+
+
 def full_batch_decision(ids, current):
     """The consensus rule over every row of a batch: the id of the drift
     when all rows map to one id other than ``current``, else None."""
@@ -351,11 +365,11 @@ def id_batches(draw):
 @example([0] * 100, 2)
 @example([1] * 120, 2)
 def test_detect_decides_as_the_full_batch_rule(ids, current):
-    det = detector_with_stub(lambda row: int(row[0]), current=current)
+    det = detector_with_stub(one_hot_id, current=current)
     registered = []
     det.register_distribution = lambda w: registered.append(len(w)) or 3
-    batch = np.array(ids, dtype=float)[:, None]
-    event = det.detect(batch, 199)
+    batch = one_hot_rows(ids)
+    event = det.detect(batch)
     expected = full_batch_decision(ids, current)
     if expected is None:
         assert event is None and det.events == []
@@ -367,7 +381,8 @@ def test_detect_decides_as_the_full_batch_rule(ids, current):
         if len(ids) >= det.config.rho:
             assert registered == [det.config.rho]
         else:
-            assert registered == [] and det._pending_window is batch
+            assert registered == []
+            assert np.array_equal(det._pending_window, batch)
     else:
         assert (event.kind, event.dist_id) == ("recurring", expected)
         assert det.registry.current == expected
@@ -378,9 +393,9 @@ def test_detect_decides_as_the_full_batch_rule(ids, current):
 def test_detect_needs_the_rows_after_the_head():
     ids = [0] * 100
     ids[50] = 2  # the batch agrees on the unseen id but for row 50
-    det = detector_with_stub(lambda row: int(row[0]), current=1)
+    det = detector_with_stub(one_hot_id, current=1)
     det.register_distribution = lambda w: pytest.fail("registered a window")
-    assert det.detect(np.array(ids, dtype=float)[:, None], 199) is None
+    assert det.detect(one_hot_rows(ids)) is None
     assert det.events == [] and det._pending_window is None
     assert len(det.registry) == 2 and det.registry.current == 1
 
@@ -402,8 +417,12 @@ def discriminator(outputs, seed, favoured=None, shift=0.0,
     return net
 
 
+def raw_batch(seed, n=100):
+    return np.random.default_rng(seed).normal(size=(n, 4))
+
+
 def std_batch(seed, n=100):
-    return standardize(np.random.default_rng(seed).normal(size=(n, 4)))
+    return standardize(raw_batch(seed, n))
 
 
 def exact_radii(net, rows):
@@ -488,10 +507,11 @@ def test_screened_detect_decides_as_the_full_batch_rule(
         seed, outputs, favoured, shift, current):
     favoured, current = favoured % outputs, 1 + (current - 1) % (outputs - 1)
     net = discriminator(outputs, seed, favoured, shift)
-    batch = std_batch(seed + 1)
-    expected = full_batch_decision(classify_batch(net, batch), current)
+    batch = raw_batch(seed + 1)
+    expected = full_batch_decision(
+        classify_batch(net, standardize(batch)), current)
     det = detector_with_network(net, current)
-    event = det.detect(batch, 199)
+    event = det.detect(batch)
     if expected is None:
         assert event is None and det.registry.current == current
         assert det.registered == []
@@ -513,8 +533,20 @@ def forwarded_rows(net):
 def test_certified_batch_forwards_one_row_once():
     det = detector_with_network(discriminator(3, 0, 1, 10.0), current=1)
     rows = forwarded_rows(det.discriminator)
-    assert det.detect(std_batch(1), 199) is None
+    assert det.detect(raw_batch(1)) is None
     assert rows == [1]
+
+
+def test_settled_batch_is_never_standardized(monkeypatch):
+    det, xs, ys = screened_ahead(discriminator(3, 0, 1, 10.0), current=1)
+    assert feed(det, xs, ys, 0, 5) is None  # keeps the next rows' screens
+    calls = []
+    standardize_rows = detector_module.standardize
+    monkeypatch.setattr(detector_module, "standardize",
+                        lambda x: calls.append(len(x)) or standardize_rows(x))
+    # xs[5] was screened ahead, and its kept screen settles its batch
+    assert det.observe_batch(xs[5:10], ys[5:10]) is None
+    assert calls == []
 
 
 def change_discriminator(det, change, batch):
@@ -541,7 +573,7 @@ def test_changed_discriminator_is_not_screened_with_stale_bounds(change):
     batch = std_batch(1)
     change_discriminator(det, change, batch)
     rows = forwarded_rows(det.discriminator)
-    assert det.detect(batch, 199) is None
+    assert det.detect(batch) is None
     assert rows == [len(batch)]
     # nor with the screens kept from before the change
     det, xs, ys = screened_ahead(discriminator(3, 0, 1, 10.0), current=1)
@@ -569,7 +601,7 @@ def test_each_registration_screens_with_its_own_discriminator(monkeypatch):
             det.register_distribution(window(1, n=10))
         assert det.registry.current == dist_id
         rows = forwarded_rows(det.discriminator)
-        assert det.detect(std_batch(dist_id, n=5), 19) is None
+        assert det.detect(raw_batch(dist_id, n=5)) is None
         assert rows == [1]
 
 

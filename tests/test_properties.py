@@ -20,6 +20,8 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6,
 @example([1e-170, 3e-170, 2e-170])
 @example([0.0, 1.3465504131170187e-160])
 @example([1e200, -1e200])
+# two values one subnormal step apart, whose mean is not a float
+@example([0.0, 5e-324])
 def test_standardize_output_is_zero_mean_unit_sigma_or_zero(values):
     out = standardize(values)
     if np.all(out == 0.0):
@@ -36,13 +38,54 @@ def test_standardize_output_is_zero_mean_unit_sigma_or_zero(values):
 # a resolvable spread that the map shrinks to 1e-10 of the mean: it must
 # not be taken for a constant row
 @example([0.0, 4e-6], 0.1, 1000.0)
+@example([-25.0, -999.28548535], 3.0, 5.0)
 def test_standardize_invariant_to_positive_affine_maps(values, scale, shift):
-    # spreads near float epsilon vanish when shifted; the invariance is
-    # only meaningful for numerically resolvable inputs
+    # the detector cannot see x -> scale * x + shift * 1 (README, "What
+    # the detector sees"). Spreads near float epsilon vanish when
+    # shifted; the invariance is only meaningful for numerically
+    # resolvable inputs
     assume(np.std(values) > 1e-6)
     base = standardize(values)
     mapped = standardize(np.asarray(values) * scale + shift)
     assert np.allclose(base, mapped, atol=1e-6)
+    if len(values) == 2:  # only the sign of x0 - x1 is left
+        assert np.allclose(base, np.sign(values[0] - values[1]) * np.array(
+            [1.0, -1.0]))
+
+
+@st.composite
+def row_blocks(draw):
+    """A block of 1-64 rows of 2-64 features. Each row has its own
+    magnitude, from 1e-300 to 1e300, and is spread, constant, or
+    constant but for a few ulps."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    d = draw(st.integers(min_value=2, max_value=64))
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    rows = []
+    for _ in range(n):
+        scale = 10.0 ** draw(st.integers(min_value=-300, max_value=300))
+        kind = draw(st.sampled_from(["spread", "constant", "near-constant"]))
+        if kind == "spread":
+            rows.append(np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+                        * scale)
+            continue
+        row = np.full(d, draw(unit) * scale)
+        if kind == "near-constant":
+            ulps = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                                 min_size=d, max_size=d))
+            row += np.spacing(row) * np.array(ulps)
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(deadline=None)
+@given(row_blocks())
+def test_standardize_is_row_wise(block):
+    # a row gives the same bytes alone as inside any block: the kept
+    # screens and the registration windows rely on it
+    out = standardize(block)
+    for row, row_out in zip(block, out):
+        assert standardize(row).tobytes() == row_out.tobytes()
 
 
 @given(st.floats(min_value=1e-3, max_value=100.0),

@@ -352,6 +352,19 @@ def test_make_strategy_driftgan_window_has_one_value():
                       config=DetectorConfig())
 
 
+@pytest.mark.parametrize("kind", ["initial_learn", "regular_update",
+                                  "regular_retrain"])
+def test_make_strategy_baseline_window_has_one_value(kind):
+    # a config sets a baseline's window as it does driftgan's: the
+    # command line passes one config to every kind it compares
+    config = DetectorConfig(rho=50)
+    assert make_strategy(kind, n_features=4, n_classes=2, config=config).rho == 50
+    assert make_strategy(kind, n_features=4, n_classes=2, rho=50,
+                         config=config).rho == 50
+    with pytest.raises(ValueError, match="rho"):
+        make_strategy(kind, n_features=4, n_classes=2, rho=20, config=config)
+
+
 def test_make_strategy_kinds():
     for kind in STRATEGY_KINDS:
         strategy = make_strategy(kind, n_features=4, n_classes=2)
