@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detector import DriftEvent
+from .streams import Stream
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -89,14 +90,22 @@ class RunReport:
 
 def prequential_run(instances, strategy, *, dataset: str = "stream",
                     metadata=None, keep_trace: bool = False) -> RunReport:
-    """Initialize on the first rho instances, then test-then-train the rest."""
+    """Initialize on the first rho instances, then test-then-train the rest.
+
+    ``instances`` is a ``streams.Stream`` or a list of ``(features,
+    label)`` pairs, which is converted to one once. The strategy is
+    initialized on the stream's first rho pairs and then steps over the
+    rows of its feature matrix that follow, views and not copies, with
+    their labels as Python ints.
+    """
     rho = strategy.rho
     if len(instances) < rho + 1:
         raise ValueError(f"stream must yield at least rho + 1 = {rho + 1} instances")
     start = time.perf_counter()
-    strategy.initialize(instances[:rho])
-    xs, ys = zip(*instances[rho:])
-    trace = [p == y for p, y in zip(strategy.steps(xs, ys), ys)]
+    stream = Stream.of(instances)
+    strategy.initialize(stream[:rho])
+    ys = stream.y[rho:].tolist()
+    trace = [p == y for p, y in zip(strategy.steps(stream.X[rho:], ys), ys)]
     n_scored = len(instances) - rho
     report = RunReport(
         dataset=dataset,

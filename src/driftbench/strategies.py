@@ -69,7 +69,9 @@ class Strategy:
         lo = 0
         while lo < len(xs):
             hi = min(len(xs), lo + self._rows_to_boundary())
-            X, y = xs[lo:hi], ys[lo:hi]
+            # one row object per instance, shared by the tree and the
+            # strategy: a matrix makes a new view each time a row is read
+            X, y = list(xs[lo:hi]), ys[lo:hi]
             for x, label in zip(X, y):
                 predictions.append(predict(x))
                 learn(x, label)

@@ -19,10 +19,12 @@ formats share one set of data-row rules:
 - ARFF strips one layer of quotes from every value, so ``'red'`` and
   ``red`` are the same value. CSV values are taken as ``csv`` reads them.
 
-Every stream, loaded or synthetic, is a list of ``(features, label)``
-pairs: ``LabeledInstance`` tuples whose features are the rows of one
-float64 ``(n, d)`` matrix and whose labels are Python ints. They unpack
-as ``x, y`` and also name their fields ``features`` and ``label``.
+Every stream, loaded or synthetic, is a ``Stream``: two arrays, a
+float64 ``(n, d)`` feature matrix ``X`` and an int64 label array ``y``,
+read as a sequence of ``(features, label)`` pairs. A pair is a
+``LabeledInstance`` made when it is read: its features are a view of a
+row of ``X``, never a copy, and its label is a Python int. It unpacks as
+``x, y`` and also names its fields ``features`` and ``label``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -45,6 +49,48 @@ class StreamFormatError(ValueError):
 class LabeledInstance(NamedTuple):
     features: np.ndarray
     label: int
+
+
+class Stream(Sequence):
+    """A read-only sequence of labeled instances over two arrays: the
+    float64 ``(n, d)`` feature matrix ``X`` and the int64 labels ``y``.
+
+    Item ``i`` is ``LabeledInstance(X[i], int(y[i]))``, made when it is
+    read; its features are a view of row ``i``. A slice is a ``Stream``
+    of views of the same arrays, and iteration yields the same pairs as
+    indexing. Neither array can be written through the stream.
+    """
+
+    __slots__ = ("X", "y")
+
+    def __init__(self, X, y):
+        X = np.asarray(X, dtype=float).view()
+        y = np.asarray(y, dtype=np.int64).view()
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ValueError(f"need an (n, d) matrix and n labels, got shapes "
+                             f"{X.shape} and {y.shape}")
+        X.flags.writeable = y.flags.writeable = False
+        self.X, self.y = X, y
+
+    @classmethod
+    def of(cls, instances) -> "Stream":
+        """``instances`` itself if it is a ``Stream``; otherwise the stream
+        of its ``(features, label)`` pairs, converted once."""
+        if isinstance(instances, cls):
+            return instances
+        xs, ys = zip(*instances)
+        return cls(np.array(xs, dtype=float), np.array(ys, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Stream(self.X[i], self.y[i])
+        return LabeledInstance(self.X[i], int(self.y[i]))
+
+    def __iter__(self):
+        return map(LabeledInstance, self.X, self.y.tolist())
 
 
 @dataclass
@@ -69,14 +115,18 @@ def _read_rows(rows, arity, nominal, max_instances):
 
     ``nominal`` holds one flag per column; when it is None, the flags
     are inferred from the first row. Reading stops after
-    ``max_instances`` rows.
+    ``max_instances`` rows. The values go straight into one flat buffer
+    and each label into a code of first appearance, so no per-row object
+    outlives its row.
     """
     if max_instances is not None and max_instances < 1:
         raise ValueError("max_instances must be at least 1")
     if arity < 2:
         raise StreamFormatError("need at least one feature and a label column")
     codes = [{} for _ in range(arity)]  # per nominal column: value -> code
-    feats, label_tokens = [], []
+    values = array("d")
+    label_ids: dict = {}  # label token -> index of first appearance
+    appearance = array("q")  # per row: its label token's index
     for line_no, tokens in rows:
         if len(tokens) != arity:
             raise StreamFormatError(
@@ -84,13 +134,12 @@ def _read_rows(rows, arity, nominal, max_instances):
             )
         if nominal is None:
             nominal = [not _is_number(tok) for tok in tokens]
-        row = []
         for col, tok in enumerate(tokens[:-1]):
             tok = tok.strip()
             if tok in ("", "?"):
                 raise StreamFormatError(f"line {line_no}: missing value")
             if nominal[col]:
-                row.append(float(codes[col].setdefault(tok, len(codes[col]))))
+                values.append(codes[col].setdefault(tok, len(codes[col])))
                 continue
             try:
                 value = float(tok)
@@ -102,28 +151,26 @@ def _read_rows(rows, arity, nominal, max_instances):
             if not math.isfinite(value):
                 raise StreamFormatError(
                     f"line {line_no}: non-finite value in column {col}")
-            row.append(value)
-        feats.append(row)
+            values.append(value)
         label = tokens[-1].strip()
         if label in ("", "?"):
             raise StreamFormatError(f"line {line_no}: missing label")
-        label_tokens.append(label)
-        if len(feats) == max_instances:
+        appearance.append(label_ids.setdefault(label, len(label_ids)))
+        if len(appearance) == max_instances:
             break
-    if not feats:
+    if not appearance:
         raise StreamFormatError("no data rows")
+    y = np.frombuffer(appearance, dtype=np.int64)
     try:
-        keys = [int(tok) for tok in label_tokens]
+        keys = [int(tok) for tok in label_ids]
     except ValueError:
-        keys = label_tokens
-        alphabet = list(dict.fromkeys(keys))
+        alphabet = list(label_ids)
     else:
         alphabet = sorted(set(keys))
-    label_code = {key: i for i, key in enumerate(alphabet)}
-    features = np.array(feats, dtype=float)
-    instances = list(map(LabeledInstance, features,
-                         [label_code[key] for key in keys]))
-    return instances, StreamMetadata(features.shape[1], alphabet, len(instances))
+        rank = {key: i for i, key in enumerate(alphabet)}
+        y = np.array([rank[key] for key in keys], dtype=np.int64)[y]
+    X = np.frombuffer(values, dtype=float).reshape(len(y), arity - 1)
+    return Stream(X, y), StreamMetadata(arity - 1, alphabet, len(y))
 
 
 def load_csv(path, max_instances=None):
@@ -185,16 +232,19 @@ def load(path, fmt="auto", max_instances=None):
 
 
 def write_csv(instances, path) -> None:
-    """Archive a stream as a loader-compatible CSV."""
+    """Archive a stream, or a list of ``(features, label)`` pairs, as a
+    loader-compatible CSV."""
     path = Path(path)
     if not instances:
         raise ValueError("empty stream")
-    d = len(instances[0][0])
+    stream = Stream.of(instances)
+    d = stream.X.shape[1]
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"f{i}" for i in range(d)] + ["label"])
-        for x, y in instances:
-            writer.writerow([repr(float(v)) for v in x] + [y])
+        for row, label in zip(map(np.ndarray.tolist, stream.X),
+                              stream.y.tolist()):
+            writer.writerow([*map(repr, row), label])
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +314,13 @@ def synth_recurring(spec: SyntheticSpec, seed: int):
     rng = np.random.default_rng(seed)
     segments = [spec.concepts[name].sample(rng, length)
                 for name, length in zip(spec.order, spec.segment_lengths)]
-    features = np.concatenate([x for x, _ in segments], dtype=float)
-    labels = np.concatenate([y for _, y in segments]).tolist()
+    stream = Stream(np.concatenate([x for x, _ in segments], dtype=float),
+                    np.concatenate([y for _, y in segments]))
     # the stream end is not a change point
     change_points = list(accumulate(spec.segment_lengths))[:-1]
-    meta = StreamMetadata(features.shape[1], sorted(set(labels)),
-                          len(labels), change_points, list(spec.order))
-    return list(map(LabeledInstance, features, labels)), meta
+    meta = StreamMetadata(stream.X.shape[1], sorted(set(stream.y.tolist())),
+                          len(stream), change_points, list(spec.order))
+    return stream, meta
 
 
 def write_ground_truth(meta: StreamMetadata, path) -> None:

@@ -1,11 +1,13 @@
 """Tests for CSV/ARFF loading and synthetic stream generation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from driftbench.streams import (
+    Stream,
     StreamFormatError,
     SyntheticSpec,
     default_concepts,
@@ -53,9 +55,11 @@ def test_csv_basic(tmp_path):
     assert meta.n_instances == 2
     assert np.allclose(instances[0].features, [1.0, 2.0])
     assert instances[1].label == 1
-    # each instance is a (features, label) pair with a Python-int label
+    # each instance is a (features, label) pair: a view of a row of the
+    # stream's matrix and a Python-int label
     x, y = instances[1]
-    assert x is instances[1].features and type(y) is int
+    assert np.shares_memory(x, instances.X)
+    assert x.tolist() == [3.5, -1.0] and y == 1 and type(y) is int
 
 
 def test_csv_integer_labels_densified_by_sorted_value(tmp_path):
@@ -99,6 +103,10 @@ MISSING = {  # test id suffix -> (data row, error message)
 def test_missing_value_is_hard_error(tmp_path, fmt, row, message):
     path = stream_file(tmp_path, fmt, f"a,b,label\n{row}\n")
     with pytest.raises(StreamFormatError, match=f"line 6: {message}"):
+        load(path)
+    # after a good row and a skipped blank one, the count still holds
+    path = stream_file(tmp_path, fmt, f"a,b,label\n1.0,2.0,0\n\n{row}\n")
+    with pytest.raises(StreamFormatError, match=f"line 8: {message}"):
         load(path)
 
 
@@ -154,6 +162,87 @@ def test_write_csv_round_trip(tmp_path):
     for orig, back in zip(instances, loaded):
         assert np.array_equal(orig.features, back.features)
         assert orig.label == back.label
+    # edge floats come back bit for bit: signed zero, the smallest
+    # subnormal, values near the largest finite float, and 0.1
+    edges = np.array([[-0.0, 5e-324, 1.7e308, -1.7e308],
+                      [0.1, -5e-324, 0.0, -0.1]])
+    stream = Stream(np.vstack([instances.X, edges]),
+                    np.concatenate([instances.y, [1, 0]]))
+    write_csv(stream, path)
+    loaded, _ = load_csv(path)
+    assert loaded.X.tobytes() == stream.X.tobytes()
+    assert np.array_equal(loaded.y, stream.y)
+
+
+def traced(build):
+    """``build()``, with the bytes it left allocated and its peak."""
+    tracemalloc.start()
+    try:
+        stream, _ = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return stream, retained, peak
+
+
+def test_loaded_stream_costs_its_two_arrays(tmp_path):
+    rng = np.random.default_rng(0)
+    n, d = 50_000, 4
+    path = tmp_path / "long.csv"
+    write_csv(Stream(rng.normal(size=(n, d)), rng.integers(0, 2, n)), path)
+    stream, retained, peak = traced(lambda: load_csv(path))
+    nbytes = stream.X.nbytes + stream.y.nbytes
+    assert stream.X.shape == (n, d)
+    assert peak <= 3 * nbytes
+    assert retained <= 1.5 * nbytes
+
+
+def test_synthetic_stream_costs_its_two_arrays():
+    spec = SyntheticSpec(default_concepts(), ["A", "B"], [25_000, 25_000])
+    stream, retained, _ = traced(lambda: synth_recurring(spec, seed=0))
+    assert len(stream) == 50_000
+    assert retained <= 1.5 * (stream.X.nbytes + stream.y.nbytes)
+
+
+# -- the Stream type ---------------------------------------------------------
+
+
+def test_stream_is_a_sequence_of_pairs_over_two_arrays():
+    X = np.arange(12, dtype=float).reshape(4, 3)
+    y = np.array([1, 0, 1, 1])
+    stream = Stream(X, y)
+    assert len(stream) == 4
+    for i in (0, 2, -1, -4):
+        x, label = stream[i]
+        assert np.shares_memory(x, X) and x.tolist() == X[i].tolist()
+        assert label == y[i] and type(label) is int
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            stream[i]
+    # a slice is a stream of views of the same arrays
+    part = stream[1:4:2]
+    assert isinstance(part, Stream) and len(part) == 2
+    assert np.shares_memory(part.X, X) and np.shares_memory(part.y, y)
+    assert part[1].features.tolist() == X[3].tolist() and part[1].label == 1
+    # iteration yields the pairs that indexing does
+    pairs = [(x.tolist(), label) for x, label in stream]
+    assert pairs == [(stream[i].features.tolist(), stream[i].label)
+                     for i in range(len(stream))]
+    assert {type(label) for _, label in stream} == {int}
+    # no row can be written through the stream; the caller's array can
+    with pytest.raises(ValueError):
+        stream[0].features[0] = 1.0
+    assert X.flags.writeable
+    with pytest.raises(ValueError, match="n labels"):
+        Stream(X, y[:3])
+
+
+def test_stream_of_converts_pairs_once():
+    X = np.arange(6, dtype=float).reshape(3, 2)
+    stream = Stream.of([(X[i].tolist(), i % 2) for i in range(3)])
+    assert stream.X.tolist() == X.tolist() and stream.y.tolist() == [0, 1, 0]
+    assert stream.X.dtype == np.float64 and stream.y.dtype == np.int64
+    assert Stream.of(stream) is stream
 
 
 # -- ARFF --------------------------------------------------------------------
