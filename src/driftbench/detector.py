@@ -63,7 +63,6 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -475,8 +474,10 @@ class DriftGanDetector:
     def add_exemplars(self, X, y) -> tuple[list, list]:
         """File labeled instances, rows ``X`` with labels ``y``, under the
         current distribution in order, as float64 rows and int labels;
-        return those rows and labels."""
-        rows = list(map(np.asarray, X, repeat(float)))
+        return those rows and labels. The rows are views of one float64
+        copy of ``X``, so the store holds no view of the caller's
+        arrays."""
+        rows = list(np.array(X, dtype=float))
         labels = list(map(int, y))
         self.registry.get(self.registry.current).exemplars.extend(
             zip(rows, labels))
@@ -514,10 +515,9 @@ class DriftGanDetector:
         instances of a pending registration window. Rows are buffered
         raw until their batch, or pending window, is complete.
 
-        ``ahead``, when given, is ``(rows, start)``: the stream's feature
-        rows, held in memory, and the index in them of the row that
-        follows ``X``. The screen then reads the first rows of later
-        batches before they arrive (see ``detect``); it copies none.
+        ``ahead``, when given, is the stream's feature rows that follow
+        ``X``, held in memory. The screen then reads the first rows of
+        later batches before they arrive (see ``detect``); it copies none.
         """
         if self.discriminator is None:
             raise RuntimeError("detector not initialized")
@@ -587,9 +587,8 @@ class DriftGanDetector:
         if kept is None:
             block = row[None]
             if ahead is not None:
-                rows, start = ahead
                 step = self.config.batch_size
-                later = rows[start:start + (SCREEN_AHEAD - 1) * step:step]
+                later = ahead[:(SCREEN_AHEAD - 1) * step:step]
                 if len(later):
                     block = np.vstack([block, later], dtype=float)
             self._screens = dict(zip(

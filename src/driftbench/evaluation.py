@@ -88,31 +88,29 @@ class RunReport:
         )
 
 
-def prequential_run(instances, strategy, *, dataset: str = "stream",
+def prequential_run(stream: Stream, strategy, *, dataset: str = "stream",
                     metadata=None, keep_trace: bool = False) -> RunReport:
     """Initialize on the first rho instances, then test-then-train the rest.
 
-    ``instances`` is a ``streams.Stream`` or a list of ``(features,
-    label)`` pairs, which is converted to one once. The strategy is
-    initialized on the stream's first rho pairs and then steps over the
-    rows of its feature matrix that follow, views and not copies, with
-    their labels as Python ints.
+    The strategy is initialized on the first rho rows of the stream's
+    feature matrix and then steps over the rows that follow: views, not
+    copies, with their labels as Python ints.
     """
     rho = strategy.rho
-    if len(instances) < rho + 1:
+    if len(stream) < rho + 1:
         raise ValueError(f"stream must yield at least rho + 1 = {rho + 1} instances")
     start = time.perf_counter()
-    stream = Stream.of(instances)
-    strategy.initialize(stream[:rho])
-    ys = stream.y[rho:].tolist()
-    trace = [p == y for p, y in zip(strategy.steps(stream.X[rho:], ys), ys)]
-    n_scored = len(instances) - rho
+    X, y = stream.X, stream.y.tolist()
+    strategy.initialize(X[:rho], y[:rho])
+    ys = y[rho:]
+    trace = [p == label for p, label in zip(strategy.steps(X[rho:], ys), ys)]
+    n_scored = len(stream) - rho
     report = RunReport(
         dataset=dataset,
         strategy=strategy.kind,
         params=strategy.get_params(),
         accuracy=sum(trace) / n_scored,
-        n_instances=len(instances),
+        n_instances=len(stream),
         n_scored=n_scored,
         drift_events=list(strategy.drift_events),
         wall_time=time.perf_counter() - start,
@@ -120,7 +118,7 @@ def prequential_run(instances, strategy, *, dataset: str = "stream",
     )
     if metadata is not None and metadata.change_points:
         # a truncated stream never reaches its later change points
-        reached = [c for c in metadata.change_points if c < len(instances)]
+        reached = [c for c in metadata.change_points if c < len(stream)]
         report.detection = score_detection(
             report.drift_events, reached,
             metadata.segment_concepts[:len(reached) + 1],

@@ -1,9 +1,9 @@
 """Streaming strategies: the GAN detector plus the three baselines.
 
 Every strategy wraps a Hoeffding tree, is initialized on the first
-``rho`` labeled instances, and then answers ``steps(xs, ys)`` with the
-prediction for each instance made before its label is seen;
-``step(x, y)`` is its one-instance call.
+``rho`` labeled instances, rows ``X`` with labels ``y``, and then answers
+``steps(xs, ys)`` with the prediction for each instance made before its
+label is seen; ``step(x, y)`` is its one-instance call.
 
 ``Strategy.steps`` is the one test-then-train loop. Up to each boundary
 of the strategy it predicts each row and then learns it, unless the
@@ -21,6 +21,12 @@ from .detector import DetectorConfig, DriftGanDetector
 from .tree import HoeffdingTreeClassifier
 
 STRATEGY_KINDS = ("driftgan", "initial_learn", "regular_update", "regular_retrain")
+
+
+def _check_labels(X, y) -> None:
+    if len(y) != len(X):
+        raise ValueError(f"need one label per row, got {len(X)} rows and "
+                         f"{len(y)} labels")
 
 
 class Strategy:
@@ -44,12 +50,14 @@ class Strategy:
     def drift_events(self) -> list:
         return []
 
-    def initialize(self, instances) -> None:
-        """Train on the first rho ``(x, y)`` instances (not scored)."""
-        if len(instances) < self.rho:
+    def initialize(self, X, y) -> None:
+        """Train on the first rho instances, rows ``X`` with labels ``y``
+        (not scored)."""
+        if len(X) < self.rho:
             raise ValueError(f"need {self.rho} instances to initialize")
-        for x, y in instances:
-            self.classifier.partial_fit(x, y)
+        _check_labels(X, y)
+        for x, label in zip(X, y):
+            self.classifier.partial_fit(x, label)
         self._initialized = True
 
     def step(self, x, y: int) -> int:
@@ -62,6 +70,7 @@ class Strategy:
         (see the module docstring)."""
         if not self._initialized:
             raise RuntimeError("strategy not initialized")
+        _check_labels(xs, ys)
         tree = self.classifier
         predict = tree.predict
         learn = tree.partial_fit if self.learns else (lambda x, label: None)
@@ -69,13 +78,11 @@ class Strategy:
         lo = 0
         while lo < len(xs):
             hi = min(len(xs), lo + self._rows_to_boundary())
-            # one row object per instance, shared by the tree and the
-            # strategy: a matrix makes a new view each time a row is read
-            X, y = list(xs[lo:hi]), ys[lo:hi]
+            X, y = xs[lo:hi], ys[lo:hi]
             for x, label in zip(X, y):
                 predictions.append(predict(x))
                 learn(x, label)
-            training = self._rebuild_set(X, y, (xs, hi))
+            training = self._rebuild_set(X, y, xs[hi:])
             if training is not None:
                 tree.reset()
                 tree.fit_many(training)
@@ -89,8 +96,8 @@ class Strategy:
     def _rebuild_set(self, X, y, ahead):
         """See the rows ``X``, labels ``y``, stepped since the last call,
         up to a boundary or the end of a ``steps`` call; ``ahead`` is the
-        call's rows and the index in them of the next row. Return the
-        ``(x, y)`` pairs to rebuild the tree from, or ``None``."""
+        call's rows that follow them. Return the ``(x, y)`` pairs to
+        rebuild the tree from, or ``None``."""
         return None
 
 
@@ -125,9 +132,9 @@ class RegularRetrainStrategy(Strategy):
         params["retrain_interval"] = self.retrain_interval
         return params
 
-    def initialize(self, instances) -> None:
-        super().initialize(instances)
-        self._window.extend(instances)
+    def initialize(self, X, y) -> None:
+        super().initialize(X, y)
+        self._window.extend(zip(X, y))
 
     def _rows_to_boundary(self) -> int:
         return self.retrain_interval - self._since_retrain
@@ -164,9 +171,8 @@ class DriftGanStrategy(Strategy):
     def drift_events(self) -> list:
         return self.detector.events
 
-    def initialize(self, instances) -> None:
-        super().initialize(instances)
-        X, y = zip(*instances)
+    def initialize(self, X, y) -> None:
+        super().initialize(X, y)
         self.detector.initialize(X)
         self.detector.add_exemplars(X, y)
 

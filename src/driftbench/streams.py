@@ -72,15 +72,6 @@ class Stream(Sequence):
         X.flags.writeable = y.flags.writeable = False
         self.X, self.y = X, y
 
-    @classmethod
-    def of(cls, instances) -> "Stream":
-        """``instances`` itself if it is a ``Stream``; otherwise the stream
-        of its ``(features, label)`` pairs, converted once."""
-        if isinstance(instances, cls):
-            return instances
-        xs, ys = zip(*instances)
-        return cls(np.array(xs, dtype=float), np.array(ys, dtype=np.int64))
-
     def __len__(self) -> int:
         return len(self.y)
 
@@ -231,15 +222,12 @@ def load(path, fmt="auto", max_instances=None):
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def write_csv(instances, path) -> None:
-    """Archive a stream, or a list of ``(features, label)`` pairs, as a
-    loader-compatible CSV."""
-    path = Path(path)
-    if not instances:
+def write_csv(stream: Stream, path) -> None:
+    """Archive a stream as a loader-compatible CSV."""
+    if not stream:
         raise ValueError("empty stream")
-    stream = Stream.of(instances)
     d = stream.X.shape[1]
-    with path.open("w", newline="") as handle:
+    with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"f{i}" for i in range(d)] + ["label"])
         for row, label in zip(map(np.ndarray.tolist, stream.X),

@@ -30,7 +30,7 @@ from driftbench.nn import (
 )
 from driftbench.strategies import make_strategy
 from driftbench.streams import (
-    LabeledInstance,
+    Stream,
     SyntheticSpec,
     default_concepts,
     load_csv,
@@ -259,7 +259,7 @@ def test_criterion_7_strategy_ordering(recurring_suite):
 def test_criterion_8_accuracy_oracle():
     rng = np.random.default_rng(8)
     xs = rng.uniform(-1.0, 1.0, size=(120, 1))
-    instances = [LabeledInstance(x, int(x[0] > 0)) for x in xs]
+    instances = Stream(xs, xs[:, 0] > 0)
     strategy = make_strategy("regular_update", n_features=1, n_classes=2,
                              rho=20)
     report = prequential_run(instances, strategy, keep_trace=True)

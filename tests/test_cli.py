@@ -7,7 +7,7 @@ import pytest
 
 import driftbench.cli as cli
 from driftbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
-from driftbench.streams import LabeledInstance, load_csv, write_csv
+from driftbench.streams import Stream, load_csv, write_csv
 
 
 def synth_args(tmp_path, order="A,B", length=150, name="toy"):
@@ -106,8 +106,7 @@ def test_gan_window_rule_binds_driftgan_alone(tmp_path, capsys, strategy,
 
 def test_one_feature_stream_is_a_driftgan_runtime_error(tmp_path, capsys):
     rows = np.random.default_rng(0).normal(size=(150, 1))
-    write_csv([LabeledInstance(x, i % 2) for i, x in enumerate(rows)],
-              tmp_path / "one.csv")
+    write_csv(Stream(rows, np.arange(len(rows)) % 2), tmp_path / "one.csv")
     code = main(["run", "--dataset", str(tmp_path / "one.csv"),
                  "--rho", "20", "--out", str(tmp_path / "results")])
     assert code == EXIT_RUNTIME

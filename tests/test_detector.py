@@ -615,7 +615,7 @@ def screened_ahead(net, current, batch_size=5, n_batches=4):
 
 
 def feed(det, xs, ys, lo, hi):
-    return det.observe_batch(xs[lo:hi], ys[lo:hi], ahead=(xs, hi))
+    return det.observe_batch(xs[lo:hi], ys[lo:hi], ahead=xs[hi:])
 
 
 def test_screen_ahead_forwards_later_first_rows_once():

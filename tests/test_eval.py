@@ -15,14 +15,14 @@ from driftbench.evaluation import (
     write_drift_log,
     write_report,
 )
-from driftbench.streams import LabeledInstance, StreamMetadata
+from driftbench.streams import Stream, StreamMetadata
 from driftbench.strategies import make_strategy
 
 
 def rule_instances(n, seed=0):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-1, 1, size=(n, 1))
-    return [LabeledInstance(x, int(x[0] > 0)) for x in xs]
+    return Stream(xs, xs[:, 0] > 0)
 
 
 def test_prequential_accuracy_matches_trace_recount():
@@ -37,10 +37,7 @@ def test_prequential_accuracy_matches_trace_recount():
 def test_prequential_excludes_warmup_from_score():
     # all warmup labels are 1, all scored labels are 0: a tree that learned
     # the warmup predicts 1 and scores zero, proving the warmup is unscored
-    instances = (
-        [LabeledInstance(np.zeros(1), 1) for _ in range(10)]
-        + [LabeledInstance(np.zeros(1), 0) for _ in range(5)]
-    )
+    instances = Stream(np.zeros((15, 1)), [1] * 10 + [0] * 5)
     strategy = make_strategy("initial_learn", n_features=1, n_classes=2, rho=10)
     report = prequential_run(instances, strategy)
     assert report.accuracy == 0.0

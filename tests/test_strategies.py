@@ -9,6 +9,7 @@ from test_detector import StubDiscriminator
 import driftbench.detector as detector_module
 import driftbench.tree as tree_module
 from driftbench.detector import DetectorConfig
+from driftbench.evaluation import prequential_run
 from driftbench.strategies import STRATEGY_KINDS, make_strategy
 from driftbench.streams import (
     LabeledInstance,
@@ -23,9 +24,16 @@ def constant_stream(label, n, d=2):
     return [LabeledInstance(np.full(d, float(label)), label) for _ in range(n)]
 
 
+def columns(instances):
+    """The rows and labels of ``(x, y)`` pairs, as ``initialize`` takes
+    them."""
+    xs, ys = zip(*instances)
+    return np.array(xs), list(ys)
+
+
 def test_step_predicts_before_learning():
     strategy = make_strategy("regular_update", n_features=2, n_classes=2, rho=5)
-    strategy.initialize(constant_stream(0, 5))
+    strategy.initialize(*columns(constant_stream(0, 5)))
     # the tree knows only label 0; the prediction must be made before the
     # revealed label 1 can influence it
     assert strategy.step(np.zeros(2), 1) == 0
@@ -40,14 +48,24 @@ def test_step_requires_initialization():
 def test_initialize_requires_rho_instances():
     strategy = make_strategy("initial_learn", n_features=2, n_classes=2, rho=10)
     with pytest.raises(ValueError):
-        strategy.initialize(constant_stream(0, 9))
+        strategy.initialize(*columns(constant_stream(0, 9)))
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_initialize_and_steps_need_one_label_per_row(kind):
+    strategy = make_strategy(kind, n_features=2, n_classes=2, rho=5)
+    X, y = columns(constant_stream(0, 6))
+    with pytest.raises(ValueError, match="5 rows and 4 labels"):
+        strategy.initialize(X[:5], y[:4])
+    if kind != "driftgan":  # its initialize trains the GAN
+        strategy.initialize(X[:5], y[:5])
+        with pytest.raises(ValueError, match="1 rows and 2 labels"):
+            strategy.steps(X[5:], y[4:])
 
 
 def test_initial_learn_never_updates():
     strategy = make_strategy("initial_learn", n_features=1, n_classes=2, rho=5)
-    strategy.initialize(
-        [LabeledInstance(np.array([float(i)]), 0) for i in range(5)]
-    )
+    strategy.initialize(np.arange(5.0)[:, None], [0] * 5)
     probe = np.array([2.0])
     before = strategy.classifier.predict(probe)
     for _ in range(300):
@@ -63,7 +81,7 @@ def test_regular_update_equals_manual_tree_replay():
     instances = list(map(LabeledInstance, xs, ys.tolist()))
 
     strategy = make_strategy("regular_update", n_features=1, n_classes=2, rho=rho)
-    strategy.initialize(instances[:rho])
+    strategy.initialize(xs[:rho], ys[:rho].tolist())
     strat_preds = [strategy.step(x, y) for x, y in instances[rho:]]
 
     tree = HoeffdingTreeClassifier(n_features=1, n_classes=2)
@@ -79,7 +97,7 @@ def test_regular_update_equals_manual_tree_replay():
 def test_regular_retrain_rebuilds_from_trailing_window():
     strategy = make_strategy("regular_retrain", n_features=2, n_classes=2,
                              rho=10, retrain_interval=10)
-    strategy.initialize(constant_stream(0, 10))
+    strategy.initialize(*columns(constant_stream(0, 10)))
     # ten instances of the opposite concept fill the window and trigger a
     # rebuild from them alone
     for x, y in constant_stream(1, 10):
@@ -147,7 +165,7 @@ def assert_refits_on_history_then_triggering_batch(monkeypatch, rho,
     stream += [signed(-1.0 - i, i % 2)
                for i in range(max(rho, batch_size) + batch_size)]
     stream += [signed(100.0 + i, i % 2) for i in range(batch_size)]
-    strategy.initialize(stream[:rho])
+    strategy.initialize(*columns(stream[:rho]))
     for x, y in stream[rho:]:
         strategy.step(x, y)
 
@@ -214,7 +232,7 @@ def test_block_path_matches_per_instance_steps(case):
                 "driftgan", n_features=2, n_classes=2, rho=rho,
                 config=DetectorConfig(rho=rho, batch_size=batch_size,
                                       seq_len=3, historical_fraction=0.5))
-            strategy.initialize(stream[:rho])
+            strategy.initialize(*columns(stream[:rho]))
             if blocks:  # the stream in calls cut at random points
                 predictions = []
                 for lo, hi in zip([rho, *cuts], [*cuts, len(stream)]):
@@ -296,7 +314,7 @@ def run_baseline(kind, rho, retrain_interval, stream, cuts):
     in ``steps`` calls cut at ``cuts``, or by ``step`` when ``None``."""
     strategy = make_strategy(kind, n_features=2, n_classes=3, rho=rho,
                              retrain_interval=retrain_interval)
-    strategy.initialize(stream[:rho])
+    strategy.initialize(*columns(stream[:rho]))
     if cuts is None:
         predictions = [strategy.step(x, y) for x, y in stream[rho:]]
     else:
@@ -318,7 +336,7 @@ def test_driftgan_recovers_on_recurring_stream():
         "driftgan", meta.n_features, len(meta.label_alphabet),
         config=DetectorConfig(seed=3),
     )
-    strategy.initialize(instances[:100])
+    strategy.initialize(instances.X[:100], instances.y[:100])
     correct = 0
     for x, y in instances[100:]:
         correct += strategy.step(x, y) == y
@@ -328,6 +346,21 @@ def test_driftgan_recovers_on_recurring_stream():
     assert 600 <= events[0].instance_index <= 1000
     assert 1300 <= events[1].instance_index <= 1700
     assert correct / (len(instances) - 100) > 0.85
+
+
+def test_driftgan_exemplars_hold_no_view_of_the_stream():
+    # a stored exemplar that were a view of the stream's matrix would keep
+    # the whole stream alive as long as the detector
+    spec = SyntheticSpec(default_concepts(), ["A"], [3000])
+    stream, meta = synth_recurring(spec, seed=0)
+    strategy = make_strategy("driftgan", meta.n_features,
+                             len(meta.label_alphabet),
+                             config=DetectorConfig(gan_max_epochs=3))
+    prequential_run(stream, strategy)
+    rows = [x for record in strategy.detector.registry.records
+            for x, _ in record.exemplars]
+    assert len(rows) == len(stream)
+    assert not any(np.shares_memory(x, stream.X) for x in rows)
 
 
 def test_driftgan_get_params_exposes_detector_config():

@@ -237,14 +237,6 @@ def test_stream_is_a_sequence_of_pairs_over_two_arrays():
         Stream(X, y[:3])
 
 
-def test_stream_of_converts_pairs_once():
-    X = np.arange(6, dtype=float).reshape(3, 2)
-    stream = Stream.of([(X[i].tolist(), i % 2) for i in range(3)])
-    assert stream.X.tolist() == X.tolist() and stream.y.tolist() == [0, 1, 0]
-    assert stream.X.dtype == np.float64 and stream.y.dtype == np.int64
-    assert Stream.of(stream) is stream
-
-
 # -- ARFF --------------------------------------------------------------------
 
 ARFF_DOC = """% comment
