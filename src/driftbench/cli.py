@@ -74,25 +74,29 @@ def _add_common(parser):
                         help="dataset format (default: auto by suffix)")
     parser.add_argument("--ground-truth", type=Path,
                         help="ground-truth JSON for detection scoring")
-    parser.add_argument("--rho", type=_positive_int, default=100,
-                        help="training window size (default: 100)")
-    parser.add_argument("--batch-size", type=_positive_int, default=100,
-                        help="consensus batch size (default: 100)")
-    parser.add_argument("--seq-len", type=_positive_int, default=4,
-                        help="generator input sequence length (default: 4)")
+    parser.add_argument("--rho", type=_positive_int, default=DetectorConfig.rho,
+                        help="training window size (default: %(default)s)")
+    parser.add_argument("--batch-size", type=_positive_int,
+                        default=DetectorConfig.batch_size,
+                        help="consensus batch size (default: %(default)s)")
+    parser.add_argument("--seq-len", type=_positive_int,
+                        default=DetectorConfig.seq_len,
+                        help="generator input sequence length "
+                             "(default: %(default)s)")
     parser.add_argument("--lambda", dest="historical_fraction",
                         type=_unit_fraction,
-                        default=1.0,
+                        default=DetectorConfig.historical_fraction,
                         help="fraction of stored historical data reused on a "
-                             "recurring drift (default: 1.0)")
+                             "recurring drift (default: %(default)s)")
     parser.add_argument("--retrain-interval", type=_positive_int,
                         help="regular_retrain rebuild interval "
                              "(default: rho)")
     parser.add_argument("--max-instances", type=_positive_int,
                         help="truncate the stream after this many instances "
                              "(default: no limit)")
-    parser.add_argument("--seed", type=_nonnegative_int, default=0,
-                        help="random seed (default: 0)")
+    parser.add_argument("--seed", type=_nonnegative_int,
+                        default=DetectorConfig.seed,
+                        help="random seed (default: %(default)s)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
     parser.add_argument("--config", type=Path,

@@ -106,24 +106,27 @@ class DetectorConfig:
     disc_loss_threshold: float = 0.1
 
     def validate(self) -> None:
-        for name in ("rho", "batch_size", "seq_len", "seed", "gan_max_epochs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("rho", "batch_size", "seq_len", "gan_max_epochs"):
+            check_count(name, getattr(self, name))
+        check_count("seed", self.seed, least=0)
         if self.rho < self.seq_len + 1:
             raise ValueError("rho must be at least seq_len + 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.historical_fraction <= 1.0:
             raise ValueError("historical_fraction must be in [0, 1]")
-        if self.seq_len < 1:
-            raise ValueError("seq_len must be >= 1")
-        if self.gan_max_epochs < 1:
-            raise ValueError("gan_max_epochs must be >= 1")
         if np.isnan(self.disc_loss_threshold):
             raise ValueError("disc_loss_threshold must not be NaN")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as a Python int, or a ValueError naming ``name``: it must
+    be an integer (a numpy one too, never a bool) of at least ``least``.
+    A count, an index or a seed of another type fails late with an
+    unrelated TypeError, or loops forever."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
 
 
 @dataclass

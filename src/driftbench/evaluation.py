@@ -2,8 +2,8 @@
 
 The first ``rho`` instances initialize a strategy and are never scored;
 every later instance is predicted first and learned from afterwards.
-Reports serialize to JSON (``schema_version: 1``); comparisons and drift
-logs are flat CSV files.
+Reports are written as JSON documents (``schema_version: 1``) that any
+JSON reader reads; comparisons and drift logs are flat CSV files.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .detector import DriftEvent
 from .streams import Stream
@@ -28,9 +30,6 @@ class DetectionScore:
     missed: int
     recurrence_id_accuracy: float | None
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class RunReport:
@@ -43,49 +42,19 @@ class RunReport:
     drift_events: list[DriftEvent] = field(default_factory=list)
     detection: DetectionScore | None = None
     wall_time: float = 0.0
-    schema_version: int = REPORT_SCHEMA_VERSION
     # per-instance hits, kept by prequential_run(keep_trace=True) for
     # independent recounts; not serialized
     trace: list[bool] | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "dataset": self.dataset,
-            "strategy": self.strategy,
-            "params": self.params,
-            "accuracy": self.accuracy,
-            "n_instances": self.n_instances,
-            "n_scored": self.n_scored,
-            "drift_events": [
-                {"instance_index": e.instance_index, "kind": e.kind,
-                 "distribution_id": e.dist_id}
-                for e in self.drift_events
-            ],
-            "detection": self.detection.to_dict() if self.detection else None,
-            "wall_time": self.wall_time,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunReport":
-        detection = None
-        if doc.get("detection") is not None:
-            detection = DetectionScore(**doc["detection"])
-        return cls(
-            dataset=doc["dataset"],
-            strategy=doc["strategy"],
-            params=doc["params"],
-            accuracy=doc["accuracy"],
-            n_instances=doc["n_instances"],
-            n_scored=doc["n_scored"],
-            drift_events=[
-                DriftEvent(e["instance_index"], e["kind"], e["distribution_id"])
-                for e in doc["drift_events"]
-            ],
-            detection=detection,
-            wall_time=doc.get("wall_time", 0.0),
-            schema_version=doc.get("schema_version", REPORT_SCHEMA_VERSION),
-        )
+        """The report document: the fields in order after
+        ``schema_version``, without ``trace``, and each event's
+        ``dist_id`` written as ``distribution_id``."""
+        doc = {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}
+        del doc["trace"]
+        for event in doc["drift_events"]:
+            event["distribution_id"] = event.pop("dist_id")
+        return doc
 
 
 def prequential_run(stream: Stream, strategy, *, dataset: str = "stream",
@@ -174,12 +143,17 @@ def score_detection(events, change_points, segment_concepts) -> DetectionScore:
 # Emission
 
 
+def _json_number(value):
+    """A numpy scalar, such as a config count in ``params``, as the Python
+    number it holds: ``json.dumps``'s fallback for what it cannot write."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_report(report: RunReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-
-
-def read_report(path) -> RunReport:
-    return RunReport.from_dict(json.loads(Path(path).read_text()))
+    doc = json.dumps(report.to_dict(), indent=2, default=_json_number)
+    Path(path).write_text(doc + "\n")
 
 
 def compare_reports(reports) -> str:
@@ -202,9 +176,3 @@ def write_drift_log(events, path) -> None:
         for event in events:
             writer.writerow([event.instance_index, event.kind, event.dist_id])
 
-
-def read_drift_log(path) -> list[DriftEvent]:
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)  # header
-        return [DriftEvent(int(row[0]), row[1], int(row[2])) for row in reader]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .detector import DetectorConfig, DriftGanDetector
+from .detector import DetectorConfig, DriftGanDetector, check_count
 from .tree import HoeffdingTreeClassifier
 
 STRATEGY_KINDS = ("driftgan", "initial_learn", "regular_update", "regular_retrain")
@@ -38,7 +38,7 @@ class Strategy:
     def __init__(self, n_features: int, n_classes: int, rho: int = 100):
         self.n_features = n_features
         self.n_classes = n_classes
-        self.rho = rho
+        self.rho = check_count("rho", rho)
         self.classifier = HoeffdingTreeClassifier(n_features, n_classes)
         self._initialized = False
 
@@ -121,10 +121,10 @@ class RegularRetrainStrategy(Strategy):
 
     def __init__(self, n_features, n_classes, rho=100, retrain_interval=None):
         super().__init__(n_features, n_classes, rho)
-        if retrain_interval is not None and retrain_interval < 1:
-            raise ValueError("retrain_interval must be at least 1")
-        self.retrain_interval = retrain_interval or rho
-        self._window: deque = deque(maxlen=rho)
+        self.retrain_interval = (
+            self.rho if retrain_interval is None
+            else check_count("retrain_interval", retrain_interval))
+        self._window: deque = deque(maxlen=self.rho)
         self._since_retrain = 0
 
     def get_params(self) -> dict:

@@ -7,6 +7,7 @@ import pytest
 
 import driftbench.cli as cli
 from driftbench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main
+from driftbench.detector import DetectorConfig
 from driftbench.streams import Stream, load_csv, write_csv
 
 
@@ -175,10 +176,23 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_help_lists_defaults():
+def test_help_lists_defaults(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "--help"])
+    # the detector's defaults are DetectorConfig's, stated there alone
+    config = DetectorConfig()
+    help_text = " ".join(capsys.readouterr().out.split())
+    for phrase in (
+        f"training window size (default: {config.rho})",
+        f"consensus batch size (default: {config.batch_size})",
+        f"generator input sequence length (default: {config.seq_len})",
+        f"recurring drift (default: {config.historical_fraction})",
+        f"random seed (default: {config.seed})",
+    ):
+        assert phrase in help_text
+    args = parser.parse_args(["run", "--dataset", "x"])
+    assert cli._detector_config(args) == config
 
 
 def test_truncation_flag(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the prequential harness, detection scoring, and reports."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from driftbench.evaluation import (
     RunReport,
     compare_reports,
     prequential_run,
-    read_drift_log,
-    read_report,
     score_detection,
     write_drift_log,
     write_report,
@@ -122,21 +122,63 @@ def sample_report():
     )
 
 
-def test_report_round_trip_dict():
-    report = sample_report()
-    clone = RunReport.from_dict(report.to_dict())
-    assert clone.to_dict() == report.to_dict()
+SAMPLE_DOCUMENT = {
+    "schema_version": 1,
+    "dataset": "toy",
+    "strategy": "driftgan",
+    "params": {"rho": 100},
+    "accuracy": 0.912345,
+    "n_instances": 1000,
+    "n_scored": 900,
+    "drift_events": [
+        {"instance_index": 250, "kind": "new", "distribution_id": 2},
+    ],
+    "detection": {"mean_delay": 99.0, "false_alarms": 0, "missed": 0,
+                  "recurrence_id_accuracy": 1.0},
+    "wall_time": 1.5,
+}
 
 
-def test_report_round_trip_file(tmp_path):
+def test_report_to_dict_is_the_document():
     report = sample_report()
+    report.trace = [True, False]  # kept for recounts, never written
+    doc = report.to_dict()
+    assert doc == SAMPLE_DOCUMENT
+    # the written keys keep their order: the document is the interface
+    assert list(doc) == list(SAMPLE_DOCUMENT)
+    assert list(doc["drift_events"][0]) == ["instance_index", "kind",
+                                            "distribution_id"]
+
+
+def test_write_report_writes_the_document(tmp_path):
+    path = tmp_path / "report.json"
+    write_report(sample_report(), path)
+    doc = json.loads(path.read_text())
+    assert doc == SAMPLE_DOCUMENT
+    assert doc["schema_version"] == 1
+    assert doc["accuracy"] == 0.912345
+    assert doc["drift_events"][0]["instance_index"] == 250
+    assert doc["detection"]["mean_delay"] == 99.0
+
+
+def test_write_report_writes_numpy_params_as_json_numbers(tmp_path):
+    # a config may hold numpy integers (DetectorConfig.validate accepts
+    # them), and get_params copies them into the report
+    report = sample_report()
+    report.params = {"rho": np.int64(100), "seed": np.int32(0),
+                     "historical_fraction": np.float64(0.5)}
     path = tmp_path / "report.json"
     write_report(report, path)
-    clone = read_report(path)
-    assert clone.accuracy == report.accuracy
-    assert clone.drift_events[0].instance_index == 250
-    assert clone.detection.mean_delay == 99.0
-    assert clone.schema_version == 1
+    params = json.loads(path.read_text())["params"]
+    assert params == {"rho": 100, "seed": 0, "historical_fraction": 0.5}
+    assert type(params["rho"]) is int and type(params["seed"]) is int
+
+
+def test_write_report_still_rejects_what_json_cannot_write(tmp_path):
+    report = sample_report()
+    report.params = {"window": object()}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_report(report, tmp_path / "report.json")
 
 
 def test_compare_reports_csv():
@@ -146,9 +188,12 @@ def test_compare_reports_csv():
     assert lines[1] == "toy,driftgan,0.912345,1000,1"
 
 
-def test_drift_log_round_trip(tmp_path):
+def test_drift_log_has_header_and_one_row_per_event(tmp_path):
     events = [DriftEvent(250, "new", 2), DriftEvent(800, "recurring", 1)]
     path = tmp_path / "drifts.csv"
     write_drift_log(events, path)
-    assert read_drift_log(path) == events
-    assert path.read_text().splitlines()[0] == "instance_index,kind,distribution_id"
+    assert path.read_text().splitlines() == [
+        "instance_index,kind,distribution_id",
+        "250,new,2",
+        "800,recurring,1",
+    ]

@@ -13,6 +13,7 @@ from driftbench.evaluation import prequential_run
 from driftbench.strategies import STRATEGY_KINDS, make_strategy
 from driftbench.streams import (
     LabeledInstance,
+    Stream,
     SyntheticSpec,
     default_concepts,
     synth_recurring,
@@ -110,6 +111,35 @@ def test_regular_retrain_interval_below_one_is_an_error(interval):
     with pytest.raises(ValueError, match="retrain_interval"):
         make_strategy("regular_retrain", n_features=2, n_classes=2, rho=5,
                       retrain_interval=interval)
+
+
+@pytest.mark.parametrize("kind", ["initial_learn", "regular_update",
+                                  "regular_retrain"])
+@pytest.mark.parametrize("rho", [0, -1, 2.5, np.float64(20), True])
+def test_baseline_window_must_be_an_integer_of_at_least_one(kind, rho):
+    # a regular_retrain window of 0 never reaches its boundary, so its
+    # steps would never return; the others fail later, obscurely
+    with pytest.raises(ValueError, match="rho"):
+        make_strategy(kind, n_features=2, n_classes=2, rho=rho)
+
+
+@pytest.mark.parametrize("interval", [2.5, True])
+def test_regular_retrain_interval_must_be_an_integer(interval):
+    with pytest.raises(ValueError, match="retrain_interval"):
+        make_strategy("regular_retrain", n_features=2, n_classes=2, rho=5,
+                      retrain_interval=interval)
+
+
+def test_regular_retrain_takes_numpy_integers_as_ints():
+    strategy = make_strategy("regular_retrain", n_features=1, n_classes=2,
+                             rho=np.int64(20), retrain_interval=np.int32(10))
+    assert type(strategy.rho) is int and strategy.rho == 20
+    assert type(strategy.retrain_interval) is int
+    assert strategy.retrain_interval == 10
+    xs = np.random.default_rng(0).uniform(-1, 1, size=(50, 1))
+    report = prequential_run(Stream(xs, xs[:, 0] > 0), strategy)
+    assert report.n_scored == 30
+    assert report.params["rho"] == 20
 
 
 def test_regular_retrain_interval_none_means_rho():
