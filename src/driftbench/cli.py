@@ -6,7 +6,9 @@ dashes, ``-`` or ``_`` between words (``rho``, ``batch_size``, ``lambda``),
 and its line is read as ``--key=value`` put before the command line's
 flags: converted and checked as on the command line, prefixes included,
 and overridden by a flag given there. An unknown key, a line without
-``=`` and a bad value are usage errors that name the file.
+``=`` and a bad value are usage errors that name the file. A rule across
+two settings (``driftgan``'s ``rho >= seq_len + 1``) is checked once
+both are read, so its message names the settings, not the file.
 """
 
 from __future__ import annotations
@@ -38,20 +40,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type of the count and length flags: an integer >= 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _count(least: int):
+    """Argparse type of the count, length and seed flags: an integer
+    >= ``least``."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    """Argparse type of ``--seed``: an integer >= 0."""
-    if not text.strip().isdecimal():
+def _strategy_kinds(text: str) -> list[str]:
+    """Argparse type of ``--strategies``: comma-separated kinds of
+    ``STRATEGY_KINDS``, or ``all`` for every kind."""
+    if text == "all":
+        return list(STRATEGY_KINDS)
+    kinds = [k.strip() for k in text.split(",") if k.strip()]
+    if not kinds:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {text!r}")
-    return int(text)
+            f"expected comma-separated strategy kinds or 'all', got {text!r}")
+    for kind in kinds:
+        if kind not in STRATEGY_KINDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown strategy {kind!r}; choose from {STRATEGY_KINDS}")
+    return kinds
 
 
 def _unit_fraction(text: str) -> float:
@@ -68,18 +81,15 @@ def _unit_fraction(text: str) -> float:
 
 def _add_common(parser):
     parser.add_argument("--dataset", type=Path, required=True,
-                        help="CSV or ARFF stream file")
-    parser.add_argument("--format", choices=("auto", "csv", "arff"),
-                        default="auto",
-                        help="dataset format (default: auto by suffix)")
+                        help="stream file: ARFF if named *.arff, else CSV")
     parser.add_argument("--ground-truth", type=Path,
                         help="ground-truth JSON for detection scoring")
-    parser.add_argument("--rho", type=_positive_int, default=DetectorConfig.rho,
+    parser.add_argument("--rho", type=_count(1), default=DetectorConfig.rho,
                         help="training window size (default: %(default)s)")
-    parser.add_argument("--batch-size", type=_positive_int,
+    parser.add_argument("--batch-size", type=_count(1),
                         default=DetectorConfig.batch_size,
                         help="consensus batch size (default: %(default)s)")
-    parser.add_argument("--seq-len", type=_positive_int,
+    parser.add_argument("--seq-len", type=_count(1),
                         default=DetectorConfig.seq_len,
                         help="generator input sequence length "
                              "(default: %(default)s)")
@@ -88,13 +98,13 @@ def _add_common(parser):
                         default=DetectorConfig.historical_fraction,
                         help="fraction of stored historical data reused on a "
                              "recurring drift (default: %(default)s)")
-    parser.add_argument("--retrain-interval", type=_positive_int,
+    parser.add_argument("--retrain-interval", type=_count(1),
                         help="regular_retrain rebuild interval "
                              "(default: rho)")
-    parser.add_argument("--max-instances", type=_positive_int,
+    parser.add_argument("--max-instances", type=_count(1),
                         help="truncate the stream after this many instances "
                              "(default: no limit)")
-    parser.add_argument("--seed", type=_nonnegative_int,
+    parser.add_argument("--seed", type=_count(0),
                         default=DetectorConfig.seed,
                         help="random seed (default: %(default)s)")
     parser.add_argument("--out", type=Path, default=Path("."),
@@ -114,7 +124,7 @@ def build_parser() -> _Parser:
     _add_common(run)
 
     compare = sub.add_parser("compare", help="several strategies on one dataset")
-    compare.add_argument("--strategies", default="all",
+    compare.add_argument("--strategies", type=_strategy_kinds, default="all",
                          help="comma-separated strategy kinds or 'all' "
                               "(default: all)")
     _add_common(compare)
@@ -123,13 +133,13 @@ def build_parser() -> _Parser:
     synth.add_argument("--order", default="A,B,A",
                        help="comma-separated concept letters A-D "
                             "(default: A,B,A)")
-    synth.add_argument("--len", type=_positive_int, default=2000,
+    synth.add_argument("--len", type=_count(1), default=2000,
                        help="length of every segment (default: 2000)")
     synth.add_argument("--noise", type=float, default=0.5,
                        help="per-feature Gaussian noise sigma (default: 0.5)")
     synth.add_argument("--name", default="synthetic",
                        help="output file stem (default: synthetic)")
-    synth.add_argument("--seed", type=_nonnegative_int, default=0,
+    synth.add_argument("--seed", type=_count(0), default=0,
                        help="random seed (default: 0)")
     synth.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (default: current directory)")
@@ -185,22 +195,10 @@ def cmd_compare(args) -> int:
     ``run`` is the one-strategy case: it prints a one-line summary where
     ``compare`` writes and prints the comparison table.
     """
-    if args.command == "run":
-        kinds = [args.strategy]
-    elif args.strategies == "all":
-        kinds = list(STRATEGY_KINDS)
-    else:
-        kinds = [k.strip() for k in args.strategies.split(",") if k.strip()]
-        if not kinds:
-            raise UsageError("--strategies names no strategy")
-    for kind in kinds:
-        if kind not in STRATEGY_KINDS:
-            raise UsageError(
-                f"unknown strategy {kind!r}; choose from {STRATEGY_KINDS}"
-            )
+    kinds = [args.strategy] if args.command == "run" else args.strategies
     # the GAN's settings bind driftgan alone
     config = _detector_config(args) if "driftgan" in kinds else None
-    instances, meta = streams.load(args.dataset, args.format, args.max_instances)
+    instances, meta = streams.load(args.dataset, args.max_instances)
     if args.ground_truth is not None:
         meta.change_points, meta.segment_concepts = streams.read_ground_truth(
             args.ground_truth)

@@ -109,6 +109,11 @@ class DetectorConfig:
         for name in ("rho", "batch_size", "seq_len", "gan_max_epochs"):
             check_count(name, getattr(self, name))
         check_count("seed", self.seed, least=0)
+        for name in ("historical_fraction", "disc_loss_threshold"):
+            value = getattr(self, name)  # a numpy float too, never a bool
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.rho < self.seq_len + 1:
             raise ValueError("rho must be at least seq_len + 1")
         if not 0.0 <= self.historical_fraction <= 1.0:
@@ -458,19 +463,11 @@ class DriftGanDetector:
         self.events: list[DriftEvent] = []
 
     def initialize(self, window_features) -> None:
-        """Train the initial GAN on the first rho raw feature vectors.
-
-        A vector needs at least 2 features: ``standardize`` maps every
-        one-feature row to ``[0.0]``, so no change could be seen.
-        """
+        """Train the initial GAN on the first rho raw feature vectors of
+        at least 2 features each; any other window is a ValueError before
+        any training (``_register``)."""
         if len(self.registry):
             raise RuntimeError("detector already initialized")
-        if len(window_features) < self.config.rho:
-            raise ValueError(f"need {self.config.rho} vectors to initialize")
-        d = np.shape(window_features)[-1]
-        if d < 2:
-            raise ValueError(f"the detector needs at least 2 features, got "
-                             f"{d}: a one-feature row standardizes to 0")
         self._register(window_features)
         self.instances_seen = len(window_features)
 
@@ -613,18 +610,26 @@ class DriftGanDetector:
     # -- new-distribution registration ---------------------------------------
 
     def register_distribution(self, window) -> int:
-        """Add a record of raw rows, grow the discriminator, retrain the
-        GAN."""
-        if len(window) < self.config.rho:
-            raise ValueError(f"need at least rho={self.config.rho} vectors")
+        """Add a record of at least rho raw rows, grow the discriminator,
+        retrain the GAN (``_register``)."""
         return self._register(window)
 
     def _register(self, window) -> int:
-        """Store a window of raw rows, standardized, as a new current
-        distribution: grow the discriminator (if any) by one output, train
-        on every window, and build the trained discriminator's bound for
-        ``detect``."""
-        dist_id = self.registry.add(standardize(window))
+        """Store a window of at least rho raw rows, standardized, as a new
+        current distribution: grow the discriminator (if any) by one
+        output, train on every window, and build the trained
+        discriminator's bound for ``detect``. A shorter window, or one of
+        rows with fewer than 2 features, is a ValueError before anything
+        is stored or trained: ``standardize`` maps every one-feature row
+        to ``[0.0]``, so no change could be seen."""
+        if len(window) < self.config.rho:
+            raise ValueError(f"need at least rho={self.config.rho} vectors")
+        rows = standardize(window)
+        if rows.shape[-1] < 2:
+            raise ValueError(f"the detector needs at least 2 features, got "
+                             f"{rows.shape[-1]}: a one-feature row "
+                             "standardizes to 0")
+        dist_id = self.registry.add(rows)
         if self.discriminator is not None:
             extend_output_layer(self.discriminator, self.rng)
         self.generator, self.discriminator = train_gan(
@@ -633,12 +638,4 @@ class DriftGanDetector:
         )
         self._bound, self._screens = LogitBound(self.discriminator), {}
         self.registry.current = dist_id
-        self._check_consistency()
         return dist_id
-
-    def _check_consistency(self) -> None:
-        if self.discriminator.output_size != 1 + len(self.registry):
-            raise RuntimeError(
-                f"discriminator has {self.discriminator.output_size} outputs "
-                f"for {len(self.registry)} distributions plus unseen"
-            )

@@ -10,6 +10,7 @@ of the strategy it predicts each row and then learns it, unless the
 strategy never learns. The strategy then sees those rows and may name a
 training set, and the loop rebuilds the tree from it before the next
 row is predicted. A strategy is thus its boundary and its rebuild set.
+``Strategy`` itself, with no boundary, is ``regular_update``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ def _check_labels(X, y) -> None:
 class Strategy:
     """Update the tree on every labeled instance; no boundary."""
 
-    kind = "base"
+    kind = "regular_update"
     learns = True  # partial_fit each row once it is predicted
 
-    def __init__(self, n_features: int, n_classes: int, rho: int = 100):
+    def __init__(self, n_features: int, n_classes: int, rho: int):
         self.n_features = n_features
         self.n_classes = n_classes
         self.rho = check_count("rho", rho)
@@ -108,18 +109,12 @@ class InitialLearnStrategy(Strategy):
     learns = False
 
 
-class RegularUpdateStrategy(Strategy):
-    """Incrementally update the tree on every labeled instance."""
-
-    kind = "regular_update"
-
-
 class RegularRetrainStrategy(Strategy):
     """Update incrementally and rebuild from the trailing window on a schedule."""
 
     kind = "regular_retrain"
 
-    def __init__(self, n_features, n_classes, rho=100, retrain_interval=None):
+    def __init__(self, n_features, n_classes, rho, retrain_interval=None):
         super().__init__(n_features, n_classes, rho)
         self.retrain_interval = (
             self.rho if retrain_interval is None
@@ -204,7 +199,7 @@ def make_strategy(kind: str, n_features: int, n_classes: int, *,
     if kind == "initial_learn":
         return InitialLearnStrategy(n_features, n_classes, rho)
     if kind == "regular_update":
-        return RegularUpdateStrategy(n_features, n_classes, rho)
+        return Strategy(n_features, n_classes, rho)
     if kind == "regular_retrain":
         return RegularRetrainStrategy(n_features, n_classes, rho, retrain_interval)
     raise ValueError(f"unknown strategy {kind!r}; choose from {STRATEGY_KINDS}")

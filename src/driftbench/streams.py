@@ -41,6 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .detector import check_count
+
 
 class StreamFormatError(ValueError):
     """Malformed stream file (carries the offending line number)."""
@@ -110,8 +112,8 @@ def _read_rows(rows, arity, nominal, max_instances):
     and each label into a code of first appearance, so no per-row object
     outlives its row.
     """
-    if max_instances is not None and max_instances < 1:
-        raise ValueError("max_instances must be at least 1")
+    if max_instances is not None:
+        max_instances = check_count("max_instances", max_instances)
     if arity < 2:
         raise StreamFormatError("need at least one feature and a label column")
     codes = [{} for _ in range(arity)]  # per nominal column: value -> code
@@ -210,16 +212,12 @@ def load_arff(path, max_instances=None):
         return _read_rows(rows, len(nominal), nominal, max_instances)
 
 
-def load(path, fmt="auto", max_instances=None):
-    """Dispatch on format ('csv', 'arff', or 'auto' by file suffix)."""
-    path = Path(path)
-    if fmt == "auto":
-        fmt = "arff" if path.suffix.lower() == ".arff" else "csv"
-    if fmt == "csv":
-        return load_csv(path, max_instances)
-    if fmt == "arff":
+def load(path, max_instances=None):
+    """Load a stream file by its suffix: a ``*.arff`` name, in any case,
+    as ARFF, and any other name as CSV."""
+    if Path(path).suffix.lower() == ".arff":
         return load_arff(path, max_instances)
-    raise ValueError(f"unknown format {fmt!r}")
+    return load_csv(path, max_instances)
 
 
 def write_csv(stream: Stream, path) -> None:

@@ -256,7 +256,8 @@ def test_compare_naming_no_strategy_is_usage_error(tmp_path, capsys, strategies)
         "--strategies", strategies, "--out", str(tmp_path / "results"),
     ])
     assert code == EXIT_USAGE
-    assert "--strategies names no strategy" in capsys.readouterr().err
+    assert ("argument --strategies: expected comma-separated strategy kinds"
+            in capsys.readouterr().err)
     assert not (tmp_path / "results").exists()
 
 
@@ -294,12 +295,14 @@ def test_config_file_keys_are_read_as_their_flags(tmp_path, monkeypatch):
     ("lambda = 2", "argument --lambda"),
     ("seed = -1", "argument --seed"),
     ("historical_fraction = 0.5", "unknown config key"),
+    ("strategies = bogus", "argument --strategies: unknown strategy 'bogus'"),
+    ("strategies = ,", "argument --strategies: expected comma-separated"),
 ])
 def test_config_file_bad_value_is_usage_error_naming_the_file(
         tmp_path, capsys, line, message):
     config = tmp_path / "bench.conf"
     config.write_text(f"{line}\n")
-    code = main(["run", "--dataset", str(tmp_path / "toy.csv"),
+    code = main(["compare", "--dataset", str(tmp_path / "toy.csv"),
                  "--config", str(config), "--out", str(tmp_path / "results")])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err

@@ -712,13 +712,6 @@ def test_screens_ahead_decide_as_screens_alone(seed, outputs, favoured, shift,
     assert decided[0] == decided[1]
 
 
-def test_inconsistent_discriminator_is_an_error():
-    det = detector_with_stub(lambda row: 1, n_registered=2)
-    det.discriminator = StubDiscriminator(lambda row: 1, 2)  # needs 3
-    with pytest.raises(RuntimeError, match="2 outputs for 2 distributions"):
-        det._check_consistency()
-
-
 def test_observe_requires_initialization():
     det = DriftGanDetector(DetectorConfig())
     with pytest.raises(RuntimeError):
@@ -740,11 +733,17 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed"):
         DetectorConfig(seed=-1).validate()
     # a setting used as a count, an index or a seed must be an integer,
-    # or a run fails late with an unrelated TypeError
-    DetectorConfig(rho=np.int64(100), seed=np.int32(1)).validate()
+    # and a fraction or a threshold a number, never a bool, or a run
+    # fails late with an unrelated TypeError
+    DetectorConfig(rho=np.int64(100), seed=np.int32(1),
+                   historical_fraction=np.float32(0.5),
+                   disc_loss_threshold=0).validate()
     for name, value in (("batch_size", 50.5), ("rho", 100.0), ("seq_len", 4.0),
                         ("seed", 1.5), ("gan_max_epochs", 1.5),
-                        ("batch_size", True)):
+                        ("batch_size", True), ("historical_fraction", "0.5"),
+                        ("historical_fraction", True),
+                        ("disc_loss_threshold", None),
+                        ("disc_loss_threshold", False)):
         with pytest.raises(ValueError, match=name):
             DetectorConfig(**{name: value}).validate()
 
@@ -980,6 +979,19 @@ def test_one_feature_window_is_an_error_before_training(monkeypatch):
     det = DriftGanDetector(DetectorConfig(rho=20))
     with pytest.raises(ValueError, match="at least 2 features, got 1"):
         det.initialize(np.random.default_rng(0).normal(size=(20, 1)))
+    assert len(det.registry) == 0 and det.discriminator is None
+
+
+@pytest.mark.parametrize("call", ["initialize", "register_distribution"])
+def test_short_window_is_an_error_before_training(monkeypatch, call):
+    def train(*args, **kwargs):
+        raise AssertionError("trained on a short window")
+
+    monkeypatch.setattr(detector_module, "train_gan", train)
+    det = DriftGanDetector(DetectorConfig(rho=20))
+    rows = np.random.default_rng(0).normal(size=(19, 4))
+    with pytest.raises(ValueError, match="need at least rho=20 vectors"):
+        getattr(det, call)(rows)
     assert len(det.registry) == 0 and det.discriminator is None
 
 

@@ -152,6 +152,18 @@ def test_max_instances_below_one_is_an_error(tmp_path, fmt, max_instances):
         load(path, max_instances=max_instances)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_max_instances_must_be_an_integer(tmp_path, fmt):
+    # no row count equals 2.5, so it would read every row, and True one
+    path = stream_file(tmp_path, fmt,
+                       "a,label\n" + "".join(f"{i},0\n" for i in range(50)))
+    for max_instances in (2.5, True, np.float64(10)):
+        with pytest.raises(ValueError, match="max_instances must be an integer"):
+            load(path, max_instances=max_instances)
+    instances, meta = load(path, max_instances=np.int64(10))
+    assert len(instances) == meta.n_instances == 10
+
+
 def test_write_csv_round_trip(tmp_path):
     spec = SyntheticSpec(default_concepts(), ["A", "B"], [30, 30])
     instances, _ = synth_recurring(spec, seed=1)
@@ -304,8 +316,14 @@ def test_load_dispatches_on_suffix(tmp_path):
     arff.write_text(ARFF_DOC)
     instances, _ = load(arff)
     assert len(instances) == 3
-    with pytest.raises(ValueError):
-        load(arff, fmt="parquet")
+    # the suffix's case does not matter, and any other name is a CSV
+    upper = tmp_path / "TOY.ARFF"
+    upper.write_text(ARFF_DOC)
+    assert len(load(upper)[0]) == 3
+    text = tmp_path / "toy.txt"
+    text.write_text("a,b,label\n1.0,2.0,0\n3.5,-1.0,1\n")
+    instances, meta = load(text)
+    assert meta.n_features == 2 and instances.y.tolist() == [0, 1]
 
 
 # -- synthetic streams -------------------------------------------------------
