@@ -9,7 +9,8 @@ recurring drift, id 0 means a brand-new distribution, which grows the
 discriminator by one output and triggers a full GAN retrain.
 
 Both networks train and classify in ``NETWORK_DTYPE`` (float32): its
-matmuls and its Adadelta pass cost about half of float64's. Both are
+matmuls and its Adadelta pass cost about half of float64's. It is the one
+place the detector's precision is chosen; float64 runs too. Both are
 ``nn.Network``s, ReLU stacks under a linear head. The discriminator is
 trained by softmax cross-entropy on its logits and decides by their
 argmax; the generator's squared prediction error is computed here, in
@@ -37,9 +38,10 @@ being row-wise: a row gives the same bytes alone as inside any block.
 Nearly every batch of a stream is not a drift, and one row on the
 current id settles that. So ``detect`` first screens the batch's first
 row: one forward gives its logits, and ``nn.LogitBound`` gives radii
-within which every float32 forward of that row, alone or inside any
-batch, keeps them. If the current id's logit stays the largest within
-them, the batch is no drift. The bound assumes an IEEE float32 BLAS with
+within which every forward of that row in ``NETWORK_DTYPE``, alone or
+inside any batch, keeps them. If the current id's logit stays the
+largest within them, the batch is no drift. The bound holds for a
+float32 or a float64 network and assumes an IEEE BLAS in that dtype with
 no reduced-precision accumulation. When it cannot certify the row,
 ``detect`` classifies the whole batch and applies the unanimity rule;
 either way it decides exactly what the rule over the whole batch
@@ -132,6 +134,14 @@ def check_count(name: str, value, least: int = 1) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
     return int(value)
+
+
+def check_window(rows, rho: int) -> None:
+    """A ValueError unless ``rows`` holds at least ``rho`` vectors: the
+    window every strategy, and the detector, is initialized on, and the
+    detector registers a distribution from."""
+    if len(rows) < rho:
+        raise ValueError(f"need at least rho={rho} vectors, got {len(rows)}")
 
 
 @dataclass
@@ -509,8 +519,9 @@ class DriftGanDetector:
         """Consume the next labeled instances, rows ``X`` with labels
         ``y``; decide if they complete a batch.
 
-        At most ``rows_to_decision`` instances may come in one call. They
-        are filed as exemplars under the current id before anything is
+        At most ``rows_to_decision`` instances may come in one call, of
+        rows that ``_check_rows`` accepts, or nothing changes. They are
+        filed as exemplars under the current id before anything is
         decided, so a drift's batch is filed under the old id, as are the
         instances of a pending registration window. Rows are buffered
         raw until their batch, or pending window, is complete.
@@ -525,7 +536,7 @@ class DriftGanDetector:
         if not 0 < len(X) <= due or len(y) != len(X):
             raise ValueError(f"need 1 to {due} rows and one label per row, "
                              f"got {len(X)} rows and {len(y)} labels")
-        rows, labels = self.add_exemplars(X, y)
+        rows, labels = self.add_exemplars(self._check_rows(X), y)
         self._rows += rows
         self._labels += labels
         self.instances_seen += len(rows)
@@ -607,6 +618,31 @@ class DriftGanDetector:
         idx = self.rng.choice(len(exemplars), size=k, replace=False)
         return [exemplars[i] for i in idx]
 
+    def _check_rows(self, X) -> np.ndarray:
+        """``X`` as a float64 block, or a ValueError: its rows must be
+        finite and as wide as the registry's windows, and the first
+        window's at least 2 features wide, since ``standardize`` maps
+        every one-feature row to ``[0.0]`` and no change could be seen.
+        Rows are checked before they change any state: a row the
+        discriminator cannot read would be filed, buffered or registered
+        and then fail, or raise a false drift."""
+        rows = np.asarray(X, dtype=float)
+        if rows.ndim != 2:
+            raise ValueError(f"expected a 2-D block of rows, got shape "
+                             f"{rows.shape}")
+        width = rows.shape[1]
+        if len(self.registry):
+            expected = self.registry.records[0].window.shape[1]
+            if width != expected:
+                raise ValueError(f"expected rows of {expected} features, "
+                                 f"got {width}")
+        elif width < 2:
+            raise ValueError(f"the detector needs at least 2 features, got "
+                             f"{width}: a one-feature row standardizes to 0")
+        if not np.isfinite(rows).all():
+            raise ValueError("rows must be finite")
+        return rows
+
     # -- new-distribution registration ---------------------------------------
 
     def register_distribution(self, window) -> int:
@@ -618,18 +654,11 @@ class DriftGanDetector:
         """Store a window of at least rho raw rows, standardized, as a new
         current distribution: grow the discriminator (if any) by one
         output, train on every window, and build the trained
-        discriminator's bound for ``detect``. A shorter window, or one of
-        rows with fewer than 2 features, is a ValueError before anything
-        is stored or trained: ``standardize`` maps every one-feature row
-        to ``[0.0]``, so no change could be seen."""
-        if len(window) < self.config.rho:
-            raise ValueError(f"need at least rho={self.config.rho} vectors")
-        rows = standardize(window)
-        if rows.shape[-1] < 2:
-            raise ValueError(f"the detector needs at least 2 features, got "
-                             f"{rows.shape[-1]}: a one-feature row "
-                             "standardizes to 0")
-        dist_id = self.registry.add(rows)
+        discriminator's bound for ``detect``. A shorter window
+        (``check_window``), or one that ``_check_rows`` refuses, is a
+        ValueError before anything is stored or trained."""
+        check_window(window, self.config.rho)
+        dist_id = self.registry.add(standardize(self._check_rows(window)))
         if self.discriminator is not None:
             extend_output_layer(self.discriminator, self.rng)
         self.generator, self.discriminator = train_gan(

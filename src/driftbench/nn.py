@@ -40,12 +40,14 @@ about half speed. ``_backward`` writes the gradients into ``grads`` in
 place; they are valid until the next backward pass on that network.
 Adadelta updates ``params`` in one pass over the flat buffers.
 
-``LogitBound`` bounds the rounding error of a float32 forward pass, so
-one forward of a row, alone or in a block of rows, can tell which class
-every other forward of that row picks, when the margin allows. It
-bounds a network of any depth, and each of its bounds is affine in the
-row's 2-norm, so a row of d inputs to a network of k outputs costs
-O(d + k) work.
+``LogitBound`` bounds the rounding error of a forward pass in the
+network's dtype, float32 or float64, so one forward of a row, alone or
+in a block of rows, can tell which class every other forward of that
+row picks, when the margin allows. It reads its float model (unit
+roundoff, underflow and overflow thresholds) from ``np.finfo`` of the
+network's dtype. It bounds a network of any depth, and each of its
+bounds is affine in the row's 2-norm, so a row of d inputs to a network
+of k outputs costs O(d + k) work.
 """
 
 from __future__ import annotations
@@ -165,29 +167,34 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# Rounding-error bound of the float32 forward pass
+# Rounding-error bound of the forward pass
 #
-# The model. Let x be a row cast to float32, the same in every forward of
-# it, and z_l, h_l the pre- and post-activations of layer l computed in
-# exact arithmetic from x and the float32 parameters; ẑ_l, ĥ_l are those
-# of one float32 forward, of the row alone or inside any batch. That
-# forward takes each output as the float32 sum of its K = fan_in
-# products, in any order, with or without FMA (an IEEE float32 BLAS with
-# no reduced-precision accumulation), and adds the bias with one float32
-# rounding. With u = 2^-24 and γ_K = Ku / (1 − Ku), Higham ("Accuracy
-# and Stability of Numerical Algorithms", 2nd ed., §3.1) gives
+# The float model is the network's dtype, float32 or float64: its unit
+# roundoff u (``finfo.epsneg``, 2^-24 or 2^-53), its smallest normal
+# ``tiny`` (2^-126 or 2^-1022) and its ``maxexp`` (128 or 1024; the
+# dtype overflows at 2^maxexp).
+#
+# The model. Let x be a row cast to the network's dtype, the same in
+# every forward of it, and z_l, h_l the pre- and post-activations of
+# layer l computed in exact arithmetic from x and the parameters; ẑ_l,
+# ĥ_l are those of one forward, of the row alone or inside any batch.
+# That forward takes each output as the sum, rounded in the dtype, of its
+# K = fan_in products, in any order, with or without FMA (an IEEE BLAS in
+# the dtype with no reduced-precision accumulation), and adds the bias
+# with one rounding. With γ_K = Ku / (1 − Ku), Higham ("Accuracy and
+# Stability of Numerical Algorithms", 2nd ed., §3.1) gives
 # |fl(aᵀw) − aᵀw| ≤ γ_K·|a|ᵀ|w| when nothing underflows; under IEEE
-# gradual underflow each product adds at most 2^-150, which the term
-# K·2^-126 covers many times over.
+# gradual underflow each product adds at most u·tiny, which the term
+# K·tiny covers many times over.
 #
 # One layer. Suppose |h_{l-1}| ≤ m and |ĥ_{l-1} − h_{l-1}| ≤ e
 # componentwise. For the unit with weight column w and bias b take
 # M ≥ mᵀ|w| and P ≥ eᵀ|w|, so that |ĥ_{l-1}|ᵀ|w| ≤ M + P. The computed
-# sum ŝ is within γ_K·(M + P) + K·2^-126 of ĥ_{l-1}ᵀw, which is within P
+# sum ŝ is within γ_K·(M + P) + K·tiny of ĥ_{l-1}ᵀw, which is within P
 # of h_{l-1}ᵀw, and the bias add rounds by at most u·|ŝ + b| ≤
 # u·((1 + γ_K)·(M + P) + |b|). So
 #     |ẑ − z| ≤ g·(M + P) + P + r = e',   |z| ≤ M + |b| = m',
-# with g = γ_K + u·(1 + γ_K) and r = u·|b| + K·2^-126. ReLU is
+# with g = γ_K + u·(1 + γ_K) and r = u·|b| + K·tiny. ReLU is
 # 1-Lipschitz and |relu(z)| ≤ |z|, so (m', e') bound the next layer's
 # input in turn.
 #
@@ -210,14 +217,14 @@ class Network:
 # twice the layers' fan-ins summed), so it falls short of the
 # real-arithmetic bound by a factor above 1 − n·2^-53; for n < 2^32
 # BOUND_SLACK covers that and the float64 rounding of the comparison.
+# For a float64 network BOUND_SLACK also covers the float64 rounding of
+# the row norm and of the logit differences.
 # The argument assumes no overflow, so where a bound on a partial sum,
-# (1 + γ_K)·(M + P) + |b|, may reach OVERFLOW_GUARD (s times the largest
-# slope of any unit plus the largest intercept) the radii are infinite.
-# A row with a radius that is not finite is not certified.
+# (1 + γ_K)·(M + P) + |b|, may reach 2^(maxexp − 2), a quarter of the
+# dtype's overflow threshold (s times the largest slope of any unit plus
+# the largest intercept reaches it), the radii are infinite. A row with a
+# radius that is not finite is not certified.
 
-UNIT_ROUNDOFF = 2.0 ** -24   # float32
-UNDERFLOW_PER_PRODUCT = 2.0 ** -126
-OVERFLOW_GUARD = 2.0 ** 126
 BOUND_SLACK = 1.0 + 2.0 ** -20
 
 
@@ -231,19 +238,28 @@ def _abs_blocks(weights: np.ndarray):
 
 
 class LogitBound:
-    """Radii around the logits of a float32 network of any depth that
-    bound how far any float32 forward of a row, alone or in a batch, can
-    stray (proof above). Built from the parameters as they are, it keeps
-    O(k) numbers for k outputs and costs O(d + k) per row of d inputs.
-    Its radii, and the screens it takes, hold only while it ``describes``
-    the network a caller forwards: the same object, unchanged by nn
-    since the build (``Network.version``)."""
+    """Radii around the logits of a float32 or float64 network of any
+    depth that bound how far any forward of a row in the network's dtype,
+    alone or in a batch, can stray (proof above). Built from the
+    parameters as they are, it keeps O(k) numbers for k outputs and costs
+    O(d + k) per row of d inputs. Its radii, and the screens it takes,
+    hold only while it ``describes`` the network a caller forwards: the
+    same object, unchanged by nn since the build (``Network.version``)."""
 
     def __init__(self, net: Network):
-        if net.params.dtype != np.float32:
-            raise ValueError("LogitBound bounds float32 networks only")
+        dtype = net.params.dtype
+        # float16's K·u reaches 1 at a 2,048-wide layer, where γ_K is
+        # void; longdouble's tiny underflows the float64 the bound is
+        # computed in
+        if dtype not in (np.float32, np.float64):
+            raise ValueError("LogitBound bounds float32 and float64 "
+                             f"networks, not {dtype}")
+        # Python floats: a numpy float32 u would keep fan_in * u float32
+        model = np.finfo(dtype)
+        u, tiny = float(model.epsneg), float(model.tiny)
+        self.overflow_guard = 2.0 ** (model.maxexp - 2)
         self.net, self.version = net, net.version
-        u, self.guard = UNIT_ROUNDOFF, np.zeros(2)
+        self.guard = np.zeros(2)
         for depth, layer in enumerate(net.layers):
             fan_in = layer.weights.shape[0]
             gamma = fan_in * u / (1.0 - fan_in * u)
@@ -260,7 +276,7 @@ class LogitBound:
             peak[1] += bias
             self.guard = np.maximum(self.guard, peak.max(axis=1))
             err = (gamma + u * (1.0 + gamma)) * (mag + err) + err
-            err[1] += u * bias + fan_in * UNDERFLOW_PER_PRODUCT
+            err[1] += u * bias + fan_in * tiny
             mag[1] += bias
             carried = np.vstack([mag, err])
         self.slope, self.intercept = 2.0 * BOUND_SLACK * err
@@ -271,11 +287,11 @@ class LogitBound:
         return net is self.net and net.version == self.version
 
     def radii(self, rows) -> np.ndarray:
-        """Per logit, the most two float32 forwards of a row differ by;
-        for one row, or per row of a block."""
-        x = np.asarray(rows, dtype=np.float32).astype(np.float64)
+        """Per logit, the most two forwards of a row in the network's
+        dtype differ by; for one row, or per row of a block."""
+        x = np.asarray(rows, dtype=self.net.params.dtype).astype(np.float64)
         s = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
-        bounded = s * self.guard[0] + self.guard[1] < OVERFLOW_GUARD
+        bounded = s * self.guard[0] + self.guard[1] < self.overflow_guard
         # an unbounded row's s is zeroed first, so no inf * 0 is formed
         return np.where(bounded, np.where(bounded, s, 0.0) * self.slope
                         + self.intercept, np.inf)
@@ -289,8 +305,9 @@ class LogitBound:
 
     @staticmethod
     def certified(logits, radii, label: int) -> np.ndarray:
-        """Per row of a screen, True only if every float32 forward of
-        that row, alone or in any batch, has its argmax at ``label``.
+        """Per row of a screen, True only if every forward of that row
+        in the network's dtype, alone or in any batch, has its argmax at
+        ``label``.
         A row with a radius that is not finite is not certified."""
         margin = logits[..., label, None] - logits > radii[..., label, None] + radii
         margin[..., label] = np.isfinite(radii[..., label])

@@ -18,7 +18,12 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .detector import DetectorConfig, DriftGanDetector, check_count
+from .detector import (
+    DetectorConfig,
+    DriftGanDetector,
+    check_count,
+    check_window,
+)
 from .tree import HoeffdingTreeClassifier
 
 STRATEGY_KINDS = ("driftgan", "initial_learn", "regular_update", "regular_retrain")
@@ -54,8 +59,7 @@ class Strategy:
     def initialize(self, X, y) -> None:
         """Train on the first rho instances, rows ``X`` with labels ``y``
         (not scored)."""
-        if len(X) < self.rho:
-            raise ValueError(f"need {self.rho} instances to initialize")
+        check_window(X, self.rho)
         _check_labels(X, y)
         for x, label in zip(X, y):
             self.classifier.partial_fit(x, label)

@@ -34,6 +34,7 @@ from driftbench.nn import (
     extend_output_layer,
     train_step,
 )
+from driftbench.strategies import STRATEGY_KINDS, make_strategy
 from driftbench.streams import default_concepts
 
 
@@ -404,12 +405,12 @@ def test_detect_needs_the_rows_after_the_head():
 
 
 def discriminator(outputs, seed, favoured=None, shift=0.0,
-                  hidden=DISCRIMINATOR_HIDDEN):
-    """A float32 network of the discriminator's widths (or of the
-    ``hidden`` ones) with nonzero biases, as training leaves them;
+                  hidden=DISCRIMINATOR_HIDDEN, dtype=NETWORK_DTYPE):
+    """A network of the discriminator's widths (or of the ``hidden``
+    ones) in ``dtype`` with nonzero biases, as training leaves them;
     ``shift`` is added to the head bias of class ``favoured``."""
     rng = np.random.default_rng(seed)
-    net = Network([4, *hidden, outputs], rng, NETWORK_DTYPE)
+    net = Network([4, *hidden, outputs], rng, dtype)
     for layer in net.layers:
         layer.bias[...] = rng.normal(0.0, 0.1, layer.bias.shape)
     if favoured is not None:
@@ -429,8 +430,9 @@ def exact_radii(net, rows):
     """``LogitBound.radii`` of each row by the same proof with the exact
     ``|W|`` product on every layer, its tightest form: the bound's
     Cauchy–Schwarz step on the first layer may only widen it."""
-    u = 2.0 ** -24
-    m = np.abs(np.asarray(rows, dtype=np.float32).astype(np.float64))
+    dtype = net.params.dtype
+    u, tiny = float(np.finfo(dtype).epsneg), float(np.finfo(dtype).tiny)
+    m = np.abs(np.asarray(rows, dtype=dtype).astype(np.float64))
     e = np.zeros_like(m)
     for layer in net.layers:
         fan_in = layer.weights.shape[0]
@@ -439,7 +441,7 @@ def exact_radii(net, rows):
         bias = np.abs(layer.bias.astype(np.float64))
         mag, err = m @ weights, e @ weights
         e = ((gamma + u * (1.0 + gamma)) * (mag + err) + err + u * bias
-             + fan_in * 2.0 ** -126)
+             + fan_in * tiny)
         m = mag + bias
     return 2.0 * e
 
@@ -456,14 +458,17 @@ def certified_alone(bound, row, label):
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=2, max_value=5),
        st.integers(min_value=0, max_value=4),
-       st.integers(min_value=0, max_value=3))
-@example(0, 3, 4, 0)
-@example(0, 3, 4, 3)
+       st.integers(min_value=0, max_value=3),
+       st.sampled_from([np.float32, np.float64]))
+@example(0, 3, 4, 0, np.float32)
+@example(0, 3, 4, 3, np.float32)
+@example(0, 3, 4, 3, np.float64)
 def test_logit_bound_certifies_only_the_batch_forwards_class(
-        seed, outputs, ulps, depth):
-    # the bound holds at any depth: 0 to 3 hidden layers of the
-    # discriminator's width
-    net = discriminator(outputs, seed, hidden=DISCRIMINATOR_HIDDEN[:1] * depth)
+        seed, outputs, ulps, depth, dtype):
+    # the bound holds at any depth, 0 to 3 hidden layers of the
+    # discriminator's width, and in either dtype
+    net = discriminator(outputs, seed, hidden=DISCRIMINATOR_HIDDEN[:1] * depth,
+                        dtype=dtype)
     batch = std_batch(seed + 1)
     # a near-tie: move a head bias so that row 0's top two logits differ
     # by a few ulps
@@ -502,11 +507,12 @@ def detector_with_network(net, current):
        st.integers(min_value=2, max_value=5),
        st.integers(min_value=0, max_value=4),
        st.sampled_from([0.0, 0.3, 10.0]),
-       st.integers(min_value=1, max_value=4))
+       st.integers(min_value=1, max_value=4),
+       st.sampled_from([np.float32, np.float64]))
 def test_screened_detect_decides_as_the_full_batch_rule(
-        seed, outputs, favoured, shift, current):
+        seed, outputs, favoured, shift, current, dtype):
     favoured, current = favoured % outputs, 1 + (current - 1) % (outputs - 1)
-    net = discriminator(outputs, seed, favoured, shift)
+    net = discriminator(outputs, seed, favoured, shift, dtype=dtype)
     batch = raw_batch(seed + 1)
     expected = full_batch_decision(
         classify_batch(net, standardize(batch)), current)
@@ -990,9 +996,67 @@ def test_short_window_is_an_error_before_training(monkeypatch, call):
     monkeypatch.setattr(detector_module, "train_gan", train)
     det = DriftGanDetector(DetectorConfig(rho=20))
     rows = np.random.default_rng(0).normal(size=(19, 4))
-    with pytest.raises(ValueError, match="need at least rho=20 vectors"):
+    with pytest.raises(ValueError, match="need at least rho=20 vectors") as err:
         getattr(det, call)(rows)
     assert len(det.registry) == 0 and det.discriminator is None
+    # one rule, one message: every strategy kind states it the same way
+    for kind in STRATEGY_KINDS:
+        strategy = make_strategy(kind, n_features=4, n_classes=2, rho=20)
+        with pytest.raises(ValueError) as other:
+            strategy.initialize(rows, [0] * len(rows))
+        assert str(other.value) == str(err.value)
+
+
+def small_trained(monkeypatch, rho=10):
+    """A detector over 4 features, initialized and registered without the
+    GAN: each training returns a small network, grown in place, that
+    favours the newest id."""
+    def train(registry, config, rng, generator=None, discriminator=None):
+        if discriminator is None:
+            discriminator = Network([4, 16, 16, 2], rng, NETWORK_DTYPE)
+        discriminator.layers[-1].bias[len(registry)] = 10.0
+        return generator, discriminator
+
+    monkeypatch.setattr(detector_module, "train_gan", train)
+    det = DriftGanDetector(DetectorConfig(rho=rho, batch_size=5, seq_len=3))
+    det.initialize(np.random.default_rng(0).normal(size=(rho, 4)))
+    det.add_exemplars(np.random.default_rng(1).normal(size=(3, 4)), [0] * 3)
+    return det
+
+
+def detector_state(det):
+    """What a refused block of rows must leave as it was."""
+    exemplars = [(x.tobytes(), y) for record in det.registry.records
+                 for x, y in record.exemplars]
+    return (exemplars, det.instances_seen, len(det.registry),
+            det.discriminator.output_size, len(det._rows))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (np.ones((5, 3)), "expected rows of 4 features, got 3"),
+    (np.full((5, 4), np.nan), "finite"),
+], ids=["narrow", "nan"])
+def test_observe_batch_refuses_rows_before_filing_them(monkeypatch, rows,
+                                                       message):
+    det = small_trained(monkeypatch)
+    before = detector_state(det)
+    with pytest.raises(ValueError, match=message):
+        det.observe_batch(rows, [0] * len(rows))
+    assert detector_state(det) == before
+    # the detector still takes rows it can read
+    assert det.observe_batch(np.ones((5, 4)), [0] * 5) is None
+
+
+def test_register_distribution_refuses_a_narrow_window_before_storing_it(
+        monkeypatch):
+    det = small_trained(monkeypatch)
+    before = detector_state(det)
+    with pytest.raises(ValueError, match="expected rows of 4 features, got 3"):
+        det.register_distribution(np.ones((10, 3)))
+    assert detector_state(det) == before
+    # and a later registration of a fitting window is not broken by it
+    assert det.register_distribution(window(1, n=10)) == 2
+    assert det.discriminator.output_size == 3
 
 
 def test_second_initialize_is_an_error():

@@ -63,25 +63,29 @@ def test_forward_batch_matches_single():
 
 
 def test_logit_bound_certifies_nothing_it_cannot_bound():
-    net = Network([2, 8, 8, 2], np.random.default_rng(0), np.float32)
-    net.layers[-1].bias[...] = [10.0, 0.0]
-    bound = LogitBound(net)
+    # per dtype: large enough that a forward in it could overflow, and
+    # beyond it (the bound's products then meet NaN and inf)
+    for dtype, big, beyond in ((np.float32, 3e38, 1e39),
+                               (np.float64, 1.7e308, np.inf)):
+        net = Network([2, 8, 8, 2], np.random.default_rng(0), dtype)
+        net.layers[-1].bias[...] = [10.0, 0.0]
+        bound = LogitBound(net)
 
-    def certified(row, label):  # from one forward of the row alone
-        rows = np.asarray(row)[None]
-        logits = net.forward(rows).astype(np.float64)
-        return bool(LogitBound.certified(logits, bound.radii(rows), label)[0])
+        def certified(row, label):  # from one forward of the row alone
+            rows = np.asarray(row)[None]
+            logits = net.forward(rows).astype(np.float64)
+            return bool(LogitBound.certified(logits, bound.radii(rows),
+                                             label)[0])
 
-    assert certified([1.0, -1.0], 0)
-    assert not certified([1.0, -1.0], 1)
-    # NaN; large enough that a float32 forward could overflow; beyond
-    # float32 (the bound's products then meet NaN and inf)
-    for row in ([np.nan, -1.0], [3e38, -3e38], [1e39, 0.0]):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.all(np.isfinite(bound.radii(row)))
-            assert not certified(row, 0)
-    with pytest.raises(ValueError, match="float32"):
-        LogitBound(small_net([2, 2]))
+        assert certified([1.0, -1.0], 0)
+        assert not certified([1.0, -1.0], 1)
+        for row in ([np.nan, -1.0], [big, -big], [beyond, 0.0]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.all(np.isfinite(bound.radii(row)))
+                assert not certified(row, 0)
+    # float16's fan_in * u reaches 1 at a 2,048-wide layer
+    with pytest.raises(ValueError, match="float16"):
+        LogitBound(Network([2, 2], np.random.default_rng(0), np.float16))
 
 
 def test_forward_is_relu_hidden_layers_under_a_linear_head():

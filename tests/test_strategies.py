@@ -8,7 +8,7 @@ from test_detector import StubDiscriminator
 
 import driftbench.detector as detector_module
 import driftbench.tree as tree_module
-from driftbench.detector import DetectorConfig
+from driftbench.detector import DetectorConfig, DriftGanDetector
 from driftbench.evaluation import prequential_run
 from driftbench.strategies import STRATEGY_KINDS, make_strategy
 from driftbench.streams import (
@@ -376,6 +376,31 @@ def test_driftgan_recovers_on_recurring_stream():
     assert 600 <= events[0].instance_index <= 1000
     assert 1300 <= events[1].instance_index <= 1700
     assert correct / (len(instances) - 100) > 0.85
+
+
+def test_float64_detector_detects_and_screens(monkeypatch):
+    # the precision is chosen in one place; a float64 detector trains,
+    # bounds its discriminator and settles batches from one row
+    monkeypatch.setattr(detector_module, "NETWORK_DTYPE", np.float64)
+    settled = []
+    settles = DriftGanDetector._screen_settles
+    monkeypatch.setattr(DriftGanDetector, "_screen_settles",
+                        lambda det, *args: settled.append(
+                            settles(det, *args)) or settled[-1])
+    spec = SyntheticSpec(default_concepts(), ["A", "B", "A"], [1000] * 3)
+    stream, meta = synth_recurring(spec, seed=0)
+    strategy = make_strategy("driftgan", meta.n_features,
+                             len(meta.label_alphabet),
+                             config=DetectorConfig(gan_max_epochs=3))
+    prequential_run(stream, strategy)
+    detector = strategy.detector
+    assert detector.discriminator.params.dtype == np.float64
+    events = strategy.drift_events
+    assert [(e.kind, e.dist_id) for e in events] == [("new", 2),
+                                                     ("recurring", 1)]
+    for event, change in zip(events, meta.change_points):
+        assert change <= event.instance_index < change + 300
+    assert any(settled)
 
 
 def test_driftgan_exemplars_hold_no_view_of_the_stream():
