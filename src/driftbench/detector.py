@@ -24,6 +24,7 @@ constants beside the network widths.
 The batch is the detector's unit. ``observe_batch`` takes the labeled
 instances up to the next decision (``rows_to_decision`` of them, or
 fewer) in one call. It files them as exemplars under the current id
+through ``add_exemplars``, the one filing path, which checks them first,
 before anything is decided, in stream order, then decides the batch, or
 completes a pending registration. Filing before deciding puts a drift's
 triggering batch under the old id; that order is a known fault, pinned
@@ -142,6 +143,15 @@ def check_window(rows, rho: int) -> None:
     detector registers a distribution from."""
     if len(rows) < rho:
         raise ValueError(f"need at least rho={rho} vectors, got {len(rows)}")
+
+
+def check_labels(X, y) -> None:
+    """A ValueError unless ``y`` holds one label per row of ``X``: every
+    layer that takes labeled rows states this rule, before it learns or
+    files any of them."""
+    if len(y) != len(X):
+        raise ValueError(f"need one label per row, got {len(X)} rows and "
+                         f"{len(y)} labels")
 
 
 @dataclass
@@ -451,8 +461,9 @@ class DriftGanDetector:
     labeled instances in stream order to ``observe_batch(X, y)``, at most
     ``rows_to_decision`` of them per call, or one at a time to
     ``observe(x, y)``. Both return a ``DriftEvent`` when a batch signals
-    a drift, ``None`` otherwise. ``last_batch`` holds the labeled
-    instances of the last decided batch, in stream order.
+    a drift, ``None`` otherwise. ``last_batch`` holds the rows and the
+    labels, ``(rows, labels)``, of the last decided batch in stream
+    order, and ``historical_sample`` draws the same shape from the store.
     """
 
     def __init__(self, config: DetectorConfig | None = None):
@@ -468,7 +479,7 @@ class DriftGanDetector:
         self._rows: list = []    # raw features since the last boundary
         self._labels: list = []  # and their labels
         self._pending_window = None  # raw rows that start a new window
-        self._last = ((), ())    # the last decided batch's rows and labels
+        self.last_batch = ([], [])  # the last decided batch's rows, labels
         self.instances_seen = 0
         self.events: list[DriftEvent] = []
 
@@ -486,8 +497,10 @@ class DriftGanDetector:
         current distribution in order, as float64 rows and int labels;
         return those rows and labels. The rows are views of one float64
         copy of ``X``, so the store holds no view of the caller's
-        arrays."""
-        rows = list(np.array(X, dtype=float))
+        arrays. Rows that ``_check_rows`` refuses, or a label count other
+        than the row count, are a ValueError before anything is filed."""
+        check_labels(X, y)
+        rows = list(np.array(self._check_rows(X), dtype=float))
         labels = list(map(int, y))
         self.registry.get(self.registry.current).exemplars.extend(
             zip(rows, labels))
@@ -496,12 +509,6 @@ class DriftGanDetector:
     def add_exemplar(self, features, label) -> None:
         """``add_exemplars`` of one labeled instance."""
         self.add_exemplars((features,), (label,))
-
-    @property
-    def last_batch(self) -> list:
-        """The last decided batch's ``(features, label)`` pairs, in
-        stream order."""
-        return list(zip(*self._last))
 
     @property
     def rows_to_decision(self) -> int:
@@ -515,28 +522,27 @@ class DriftGanDetector:
         """``observe_batch`` of one labeled instance."""
         return self.observe_batch((features,), (label,))
 
-    def observe_batch(self, X, y, ahead=None) -> DriftEvent | None:
+    def observe_batch(self, X, y, ahead=()) -> DriftEvent | None:
         """Consume the next labeled instances, rows ``X`` with labels
         ``y``; decide if they complete a batch.
 
-        At most ``rows_to_decision`` instances may come in one call, of
-        rows that ``_check_rows`` accepts, or nothing changes. They are
+        At most ``rows_to_decision`` instances may come in one call, and
+        ``add_exemplars`` must accept them, or nothing changes. They are
         filed as exemplars under the current id before anything is
         decided, so a drift's batch is filed under the old id, as are the
         instances of a pending registration window. Rows are buffered
         raw until their batch, or pending window, is complete.
 
-        ``ahead``, when given, is the stream's feature rows that follow
-        ``X``, held in memory. The screen then reads the first rows of
-        later batches before they arrive (see ``detect``); it copies none.
+        ``ahead`` is the stream's feature rows that follow ``X``, held in
+        memory, or none. The screen reads the first rows of later batches
+        in it before they arrive (see ``detect``); it copies none.
         """
         if self.discriminator is None:
             raise RuntimeError("detector not initialized")
         due = self.rows_to_decision
-        if not 0 < len(X) <= due or len(y) != len(X):
-            raise ValueError(f"need 1 to {due} rows and one label per row, "
-                             f"got {len(X)} rows and {len(y)} labels")
-        rows, labels = self.add_exemplars(self._check_rows(X), y)
+        if not 0 < len(X) <= due:
+            raise ValueError(f"need 1 to {due} rows, got {len(X)}")
+        rows, labels = self.add_exemplars(X, y)
         self._rows += rows
         self._labels += labels
         self.instances_seen += len(rows)
@@ -548,10 +554,10 @@ class DriftGanDetector:
             window, self._pending_window = self._pending_window + rows, None
             self.register_distribution(window)
             return None
-        self._last = (rows, labels)
+        self.last_batch = (rows, labels)
         return self.detect(rows, ahead)
 
-    def detect(self, rows, ahead=None) -> DriftEvent | None:
+    def detect(self, rows, ahead=()) -> DriftEvent | None:
         """Batch-consensus drift rule on a batch of raw rows that ends at
         the last instance seen.
 
@@ -560,10 +566,10 @@ class DriftGanDetector:
         on the current id settles "no drift": the whole batch's forward
         puts it there too, and the batch is never standardized. Any other
         batch is standardized and classified whole, and its rows must all
-        map to one non-current id. With ``ahead`` (see ``observe_batch``)
-        the first row's screen also takes the first rows of up to
-        ``SCREEN_AHEAD - 1`` later batches, and keeps them for their
-        decisions (see the module docstring).
+        map to one non-current id. With rows ``ahead`` (see
+        ``observe_batch``) the first row's screen also takes the first
+        rows of up to ``SCREEN_AHEAD - 1`` later batches, and keeps them
+        for their decisions (see the module docstring).
         """
         if self._bound is not None and self._screen_settles(
                 np.asarray(rows[0], dtype=float), ahead):
@@ -596,27 +602,26 @@ class DriftGanDetector:
             return False
         kept = self._screens.get(row.tobytes())
         if kept is None:
-            block = row[None]
-            if ahead is not None:
-                step = self.config.batch_size
-                later = ahead[:(SCREEN_AHEAD - 1) * step:step]
-                if len(later):
-                    block = np.vstack([block, later], dtype=float)
+            step = self.config.batch_size
+            block = np.vstack(
+                [row, *ahead[:(SCREEN_AHEAD - 1) * step:step]], dtype=float)
             self._screens = dict(zip(
                 map(np.ndarray.tobytes, block),
                 zip(*self._bound.screen(standardize(block)))))
             kept = self._screens[row.tobytes()]
         return bool(LogitBound.certified(*kept, self.registry.current))
 
-    def historical_sample(self, dist_id: int) -> list:
+    def historical_sample(self, dist_id: int) -> tuple[list, list]:
         """Uniform sample without replacement of ceil(historical_fraction
-        * stored) exemplars of one distribution."""
+        * stored) exemplars of one distribution, as ``(rows, labels)``
+        in the order drawn."""
         exemplars = list(self.registry.get(dist_id).exemplars)
         k = int(np.ceil(self.config.historical_fraction * len(exemplars)))
         if k <= 0:
-            return []
+            return [], []
         idx = self.rng.choice(len(exemplars), size=k, replace=False)
-        return [exemplars[i] for i in idx]
+        rows, labels = zip(*(exemplars[i] for i in idx))
+        return list(rows), list(labels)
 
     def _check_rows(self, X) -> np.ndarray:
         """``X`` as a float64 block, or a ValueError: its rows must be

@@ -8,9 +8,10 @@ label is seen; ``step(x, y)`` is its one-instance call.
 ``Strategy.steps`` is the one test-then-train loop. Up to each boundary
 of the strategy it predicts each row and then learns it, unless the
 strategy never learns. The strategy then sees those rows and may name a
-training set, and the loop rebuilds the tree from it before the next
-row is predicted. A strategy is thus its boundary and its rebuild set.
-``Strategy`` itself, with no boundary, is ``regular_update``.
+training set, rows with their labels, and the loop rebuilds the tree
+from it through ``fit_many(X, y)`` before the next row is predicted. A
+strategy is thus its boundary and its rebuild set. ``Strategy`` itself,
+with no boundary, is ``regular_update``.
 """
 
 from __future__ import annotations
@@ -22,17 +23,12 @@ from .detector import (
     DetectorConfig,
     DriftGanDetector,
     check_count,
+    check_labels,
     check_window,
 )
 from .tree import HoeffdingTreeClassifier
 
 STRATEGY_KINDS = ("driftgan", "initial_learn", "regular_update", "regular_retrain")
-
-
-def _check_labels(X, y) -> None:
-    if len(y) != len(X):
-        raise ValueError(f"need one label per row, got {len(X)} rows and "
-                         f"{len(y)} labels")
 
 
 class Strategy:
@@ -60,7 +56,8 @@ class Strategy:
         """Train on the first rho instances, rows ``X`` with labels ``y``
         (not scored)."""
         check_window(X, self.rho)
-        _check_labels(X, y)
+        check_labels(X, y)
+        # not fit_many, whose rows are the ones a rebuild replays
         for x, label in zip(X, y):
             self.classifier.partial_fit(x, label)
         self._initialized = True
@@ -75,7 +72,7 @@ class Strategy:
         (see the module docstring)."""
         if not self._initialized:
             raise RuntimeError("strategy not initialized")
-        _check_labels(xs, ys)
+        check_labels(xs, ys)
         tree = self.classifier
         predict = tree.predict
         learn = tree.partial_fit if self.learns else (lambda x, label: None)
@@ -90,7 +87,7 @@ class Strategy:
             training = self._rebuild_set(X, y, xs[hi:])
             if training is not None:
                 tree.reset()
-                tree.fit_many(training)
+                tree.fit_many(*training)
             lo = hi
         return predictions
 
@@ -101,8 +98,8 @@ class Strategy:
     def _rebuild_set(self, X, y, ahead):
         """See the rows ``X``, labels ``y``, stepped since the last call,
         up to a boundary or the end of a ``steps`` call; ``ahead`` is the
-        call's rows that follow them. Return the ``(x, y)`` pairs to
-        rebuild the tree from, or ``None``."""
+        call's rows that follow them. Return the rows and labels,
+        ``(X, y)``, to rebuild the tree from, or ``None``."""
         return None
 
 
@@ -123,7 +120,9 @@ class RegularRetrainStrategy(Strategy):
         self.retrain_interval = (
             self.rho if retrain_interval is None
             else check_count("retrain_interval", retrain_interval))
-        self._window: deque = deque(maxlen=self.rho)
+        # the trailing window's rows and labels
+        self._rows: deque = deque(maxlen=self.rho)
+        self._labels: deque = deque(maxlen=self.rho)
         self._since_retrain = 0
 
     def get_params(self) -> dict:
@@ -133,26 +132,28 @@ class RegularRetrainStrategy(Strategy):
 
     def initialize(self, X, y) -> None:
         super().initialize(X, y)
-        self._window.extend(zip(X, y))
+        self._rows.extend(X)
+        self._labels.extend(y)
 
     def _rows_to_boundary(self) -> int:
         return self.retrain_interval - self._since_retrain
 
     def _rebuild_set(self, X, y, ahead):
-        self._window.extend(zip(X, y))
+        self._rows.extend(X)
+        self._labels.extend(y)
         self._since_retrain += len(X)
         if self._since_retrain < self.retrain_interval:
             return None
         self._since_retrain = 0
-        return self._window
+        return self._rows, self._labels
 
 
 class DriftGanStrategy(Strategy):
     """Reset and retrain the tree whenever the GAN detector signals a drift.
 
-    On a recurring drift the retraining set is the triggering batch plus a
-    sample of the matched distribution's stored exemplars; on a new drift
-    only the triggering batch is available.
+    On a recurring drift the retraining set is a sample of the matched
+    distribution's stored exemplars followed by the triggering batch; on
+    a new drift only the triggering batch is available.
     """
 
     kind = "driftgan"
@@ -182,9 +183,12 @@ class DriftGanStrategy(Strategy):
         event = self.detector.observe_batch(X, y, ahead=ahead)
         if event is None:
             return None
-        training = (self.detector.historical_sample(event.dist_id)
-                    if event.kind == "recurring" else [])
-        return training + self.detector.last_batch
+        rows, labels = self.detector.last_batch
+        if event.kind == "recurring":
+            past_rows, past_labels = self.detector.historical_sample(
+                event.dist_id)
+            rows, labels = past_rows + rows, past_labels + labels
+        return rows, labels
 
 
 def make_strategy(kind: str, n_features: int, n_classes: int, *,

@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from .detector import check_labels
+
 GRACE_PERIOD = 200        # instances a leaf sees between split evaluations
 SPLIT_CONFIDENCE = 1e-7   # delta of the Hoeffding bound
 TIE_THRESHOLD = 0.05      # split anyway once the bound is this tight
@@ -169,10 +171,13 @@ class HoeffdingTreeClassifier:
             leaf.seen_since_eval = 0
             self._try_split(leaf)
 
-    def fit_many(self, instances) -> None:
-        """partial_fit over an iterable of (x, y) pairs."""
-        for x, y in instances:
-            self.partial_fit(x, y)
+    def fit_many(self, X, y) -> None:
+        """``partial_fit`` over rows ``X`` with labels ``y``, in order. A
+        label count other than the row count is a ValueError before any
+        row is learned."""
+        check_labels(X, y)
+        for x, label in zip(X, y):
+            self.partial_fit(x, label)
 
     # -- split machinery ----------------------------------------------------
 

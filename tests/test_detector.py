@@ -106,29 +106,32 @@ def test_registry_assigns_dense_ids():
 
 
 def detector_with_exemplars(n, fraction):
+    """A detector over 4 features whose one distribution stores ``n``
+    exemplars, the rows ``[i, -i, 0, 0]`` labeled ``i % 2``."""
     det = DriftGanDetector(DetectorConfig(historical_fraction=fraction))
     det.registry.add(window(0))
     det.registry.current = 1
     for i in range(n):
-        det.add_exemplar([float(i)], 0)
+        det.add_exemplar([float(i), -float(i), 0.0, 0.0], i % 2)
     return det
 
 
 def test_exemplar_cap_evicts_oldest(monkeypatch):
     monkeypatch.setattr(detector_module, "PER_DIST_CAP", 3)
     det = detector_with_exemplars(0, 1.0)
-    det.add_exemplars([[float(i)] for i in range(5)], [i % 2 for i in range(5)])
+    det.add_exemplars([[float(i)] * 4 for i in range(5)],
+                      [i % 2 for i in range(5)])
     stored = [int(x[0]) for x, _ in det.registry.get(1).exemplars]
     assert stored == [2, 3, 4]
 
 
 def test_add_exemplars_files_float64_rows_and_int_labels_in_order():
     det = detector_with_exemplars(1, 1.0)
-    rows, labels = det.add_exemplars([[1, 2], np.float32([3, 4])],
+    rows, labels = det.add_exemplars([[1, 2, 0, 0], np.float32([3, 4, 0, 0])],
                                      [np.int64(1), True])
     stored = list(det.registry.get(1).exemplars)[1:]
-    assert [(x.tolist(), y) for x, y in stored] == [([1.0, 2.0], 1),
-                                                    ([3.0, 4.0], 1)]
+    assert [(x.tolist(), y) for x, y in stored] == [([1.0, 2.0, 0.0, 0.0], 1),
+                                                    ([3.0, 4.0, 0.0, 0.0], 1)]
     assert all(x.dtype == np.float64 and type(y) is int for x, y in stored)
     # the filed objects are the ones returned, so none is converted twice
     assert all(a is b for a, (b, _) in zip(rows, stored))
@@ -137,20 +140,25 @@ def test_add_exemplars_files_float64_rows_and_int_labels_in_order():
 
 def test_historical_sample_fractions():
     det = detector_with_exemplars(10, 1.0)
-    assert len(det.historical_sample(1)) == 10
+    rows, labels = det.historical_sample(1)
+    assert len(rows) == len(labels) == 10
     det.config.historical_fraction = 0.0
-    assert det.historical_sample(1) == []
+    state = det.rng.bit_generator.state
+    assert det.historical_sample(1) == ([], [])
+    assert det.rng.bit_generator.state == state  # no draw for no sample
     det.config.historical_fraction = 0.5
-    half = det.historical_sample(1)
-    assert len(half) == 5  # ceil(0.5 * 10)
-    # sampled without replacement
-    values = [x[0] for x, _ in half]
+    rows, labels = det.historical_sample(1)
+    assert len(rows) == len(labels) == 5  # ceil(0.5 * 10)
+    # sampled without replacement, each row with its own label
+    values = [int(x[0]) for x in rows]
     assert len(set(values)) == 5
+    assert labels == [i % 2 for i in values]
 
 
 def test_historical_sample_ceils_small_fractions():
     det = detector_with_exemplars(3, 0.1)
-    assert len(det.historical_sample(1)) == 1
+    rows, labels = det.historical_sample(1)
+    assert len(rows) == len(labels) == 1
 
 
 # -- batch classification and the consensus rule ------------------------------
@@ -293,14 +301,16 @@ def test_last_batch_holds_the_decided_batch_in_stream_order():
     det = detector_with_stub(lambda row: 1, current=1)
     det.config.batch_size = 5
     raw = np.random.default_rng(3).normal(size=(12, 4))
-    stream = [(x, i % 3) for i, x in enumerate(raw)]
-    for x, y in stream[:4]:
+    labels = [i % 3 for i in range(len(raw))]
+    for x, y in zip(raw[:4], labels):
         det.observe(x, y)
-    assert det.last_batch == []  # no batch decided yet
-    for x, y in stream[4:]:
+    assert det.last_batch == ([], [])  # no batch decided yet
+    for x, y in zip(raw[4:], labels[4:]):
         det.observe(x, y)
     # the second batch was decided last; the two after it are not a batch
-    assert labeled(det.last_batch) == labeled(stream[5:10])
+    rows, batch_labels = det.last_batch
+    assert [x.tobytes() for x in rows] == [x.tobytes() for x in raw[5:10]]
+    assert batch_labels == labels[5:10]
 
 
 def test_pending_registration_files_each_instance_under_the_old_id(
@@ -1032,19 +1042,37 @@ def detector_state(det):
             det.discriminator.output_size, len(det._rows))
 
 
-@pytest.mark.parametrize("rows, message", [
-    (np.ones((5, 3)), "expected rows of 4 features, got 3"),
-    (np.full((5, 4), np.nan), "finite"),
-], ids=["narrow", "nan"])
+@pytest.mark.parametrize("rows, labels, message", [
+    (np.ones((5, 3)), [0] * 5, "expected rows of 4 features, got 3"),
+    (np.full((5, 4), np.nan), [0] * 5, "finite"),
+    (np.ones((5, 4)), [0] * 4,
+     "need one label per row, got 5 rows and 4 labels"),
+], ids=["narrow", "nan", "labels"])
 def test_observe_batch_refuses_rows_before_filing_them(monkeypatch, rows,
-                                                       message):
+                                                       labels, message):
     det = small_trained(monkeypatch)
     before = detector_state(det)
     with pytest.raises(ValueError, match=message):
-        det.observe_batch(rows, [0] * len(rows))
+        det.observe_batch(rows, labels)
     assert detector_state(det) == before
     # the detector still takes rows it can read
     assert det.observe_batch(np.ones((5, 4)), [0] * 5) is None
+
+
+@pytest.mark.parametrize("rows, labels, message", [
+    (np.full((2, 3), np.nan), [0, 1], "expected rows of 4 features, got 3"),
+    (np.full((2, 4), np.nan), [0, 1], "finite"),
+    (np.ones((3, 4)), [0, 1],
+     "need one label per row, got 3 rows and 2 labels"),
+], ids=["narrow", "nan", "labels"])
+def test_add_exemplars_refuses_rows_before_filing_them(monkeypatch, rows,
+                                                       labels, message):
+    # the one filing path checks what it files, whoever calls it
+    det = small_trained(monkeypatch)
+    before = detector_state(det)
+    with pytest.raises(ValueError, match=message):
+        det.add_exemplars(rows, labels)
+    assert detector_state(det) == before
 
 
 def test_register_distribution_refuses_a_narrow_window_before_storing_it(

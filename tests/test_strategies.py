@@ -179,7 +179,7 @@ def assert_refits_on_history_then_triggering_batch(monkeypatch, rho,
                              config=config)
     fits, samples = [], []
     monkeypatch.setattr(strategy.classifier, "fit_many",
-                        lambda pairs: fits.append(list(pairs)))
+                        lambda X, y: fits.append((list(X), list(y))))
     detector = strategy.detector
     sample_of = detector.historical_sample
 
@@ -199,21 +199,22 @@ def assert_refits_on_history_then_triggering_batch(monkeypatch, rho,
     for x, y in stream[rho:]:
         strategy.step(x, y)
 
-    def pairs(instances):
-        return [(x.tobytes(), y) for x, y in instances]
+    def pairs(rows, labels):
+        return [(x.tobytes(), y) for x, y in zip(rows, labels, strict=True)]
 
     assert [(e.kind, e.dist_id) for e in strategy.drift_events] == [
         ("new", 2), ("recurring", 1)]
     new_fit, recurring_fit = fits
     # a new drift refits on the batch that triggered it, in stream order
-    assert pairs(new_fit) == pairs(stream[rho:rho + batch_size])
+    assert pairs(*new_fit) == pairs(*columns(stream[rho:rho + batch_size]))
     # a recurring drift refits on the matched distribution's sample, then
     # on the triggering batch in stream order
     [(dist_id, sample)] = samples
     assert dist_id == 1
-    assert sorted(pairs(sample)) == sorted(
-        pairs(detector.registry.get(1).exemplars))
-    assert pairs(recurring_fit) == pairs(sample) + pairs(stream[-batch_size:])
+    assert sorted(pairs(*sample)) == sorted(
+        pairs(*columns(detector.registry.get(1).exemplars)))
+    assert pairs(*recurring_fit) == (
+        pairs(*sample) + pairs(*columns(stream[-batch_size:])))
 
 
 def test_driftgan_retrains_on_the_history_then_the_triggering_batch(
@@ -274,7 +275,7 @@ def test_block_path_matches_per_instance_steps(case):
         runs.append((
             predictions,
             [(e.instance_index, e.kind, e.dist_id) for e in detector.events],
-            pairs_of(detector.last_batch),
+            pairs_of(zip(*detector.last_batch, strict=True)),
             [pairs_of(record.exemplars)
              for record in detector.registry.records],
         ))
@@ -318,7 +319,8 @@ def replay_baseline(kind, rho, retrain_interval, stream):
         tree.partial_fit(x, y)
         if kind == "regular_retrain" and (i + 1 - rho) % retrain_interval == 0:
             tree.reset()
-            tree.fit_many(stream[i + 1 - rho:i + 1])
+            for x, y in stream[i + 1 - rho:i + 1]:
+                tree.partial_fit(x, y)
     return predictions, tree.n_nodes()
 
 

@@ -84,7 +84,7 @@ def test_deterministic_replay():
 def test_no_split_before_grace_period():
     tree = HoeffdingTreeClassifier(n_features=1, n_classes=2)
     xs, ys = rule_stream(199)
-    tree.fit_many(zip(xs, ys))
+    tree.fit_many(xs, ys)
     assert tree.n_nodes() == 1
 
 
@@ -105,11 +105,24 @@ def test_gain_gap_splits_at_first_evaluation():
 def test_reset_returns_to_cold_start():
     tree = HoeffdingTreeClassifier(n_features=1, n_classes=2)
     xs, ys = rule_stream(1000)
-    tree.fit_many(zip(xs, ys))
+    tree.fit_many(xs, ys)
     assert tree.n_nodes() > 1
     tree.reset()
     assert tree.n_nodes() == 1
     assert tree.predict([0.5]) == 0
+
+
+def test_fit_many_needs_one_label_per_row_before_it_learns_any():
+    tree = HoeffdingTreeClassifier(n_features=1, n_classes=2)
+    xs, ys = rule_stream(1000)
+    tree.fit_many(xs[:100], ys[:100])
+    nodes, prediction = tree.n_nodes(), tree.predict([-0.5])
+    # had its 899 labeled rows been learned, the tree would have split
+    with pytest.raises(ValueError,
+                       match="need one label per row, got 900 rows and 899 labels"):
+        tree.fit_many(xs[100:], ys[100:-1])
+    assert tree.n_nodes() == nodes == 1
+    assert tree.predict([-0.5]) == prediction
 
 
 def test_input_validation():
