@@ -44,11 +44,16 @@ inside any batch, keeps them. If the current id's logit stays the
 largest within them, the batch is no drift. The bound holds for a
 float32 or a float64 network and assumes an IEEE BLAS in that dtype with
 no reduced-precision accumulation. When it cannot certify the row,
-``detect`` classifies the whole batch and applies the unanimity rule;
-either way it decides exactly what the rule over the whole batch
-decides. The bound is built at the end of each registration, the one
-place the detector changes the discriminator, and it is used only while
-it describes the discriminator as it is (``LogitBound.describes``).
+``detect`` checks the whole batch with ``check_rows``, classifies it
+and applies the unanimity rule; either way it decides exactly what the
+rule over the whole batch decides. A row that is not finite is never
+certified, and a settled batch changes no state, so a batch the
+detector cannot read is a ValueError before any event, registration
+or change of the current id. ``detect``, like ``observe_batch``, needs
+an initialized detector: it always decides through the bound. The
+bound is built at the end of each registration, the one place the
+detector changes the discriminator, and it is used only while it
+describes the discriminator as it is (``LogitBound.describes``).
 
 When the stream is in memory, ``observe_batch`` is given the rows that
 follow, and one forward screens the first rows of the next
@@ -497,10 +502,10 @@ class DriftGanDetector:
         current distribution in order, as float64 rows and int labels;
         return those rows and labels. The rows are views of one float64
         copy of ``X``, so the store holds no view of the caller's
-        arrays. Rows that ``_check_rows`` refuses, or a label count other
+        arrays. Rows that ``check_rows`` refuses, or a label count other
         than the row count, are a ValueError before anything is filed."""
         check_labels(X, y)
-        rows = list(np.array(self._check_rows(X), dtype=float))
+        rows = list(np.array(self.check_rows(X), dtype=float))
         labels = list(map(int, y))
         self.registry.get(self.registry.current).exemplars.extend(
             zip(rows, labels))
@@ -526,8 +531,11 @@ class DriftGanDetector:
         """Consume the next labeled instances, rows ``X`` with labels
         ``y``; decide if they complete a batch.
 
-        At most ``rows_to_decision`` instances may come in one call, and
-        ``add_exemplars`` must accept them, or nothing changes. They are
+        The detector must be initialized (a RuntimeError otherwise). At
+        most ``rows_to_decision`` instances may come in one call, and
+        ``add_exemplars`` must accept them: rows that ``check_rows``
+        refuses are a ValueError before anything is filed, and so before
+        any event, registration or change of the current id. They are
         filed as exemplars under the current id before anything is
         decided, so a drift's batch is filed under the old id, as are the
         instances of a pending registration window. Rows are buffered
@@ -537,7 +545,7 @@ class DriftGanDetector:
         memory, or none. The screen reads the first rows of later batches
         in it before they arrive (see ``detect``); it copies none.
         """
-        if self.discriminator is None:
+        if self._bound is None:
             raise RuntimeError("detector not initialized")
         due = self.rows_to_decision
         if not 0 < len(X) <= due:
@@ -561,19 +569,24 @@ class DriftGanDetector:
         """Batch-consensus drift rule on a batch of raw rows that ends at
         the last instance seen.
 
-        A drift needs every row of the batch on one id other than the
+        The detector must be initialized (a RuntimeError otherwise). A
+        drift needs every row of the batch on one id other than the
         current one. A first row that the discriminator's bound certifies
         on the current id settles "no drift": the whole batch's forward
-        puts it there too, and the batch is never standardized. Any other
-        batch is standardized and classified whole, and its rows must all
-        map to one non-current id. With rows ``ahead`` (see
+        puts it there too, the batch is never standardized, and nothing
+        changes. Any other batch is checked with ``check_rows``, a
+        ValueError before any event, registration or change of the
+        current id, then standardized and classified whole, and its rows
+        must all map to one non-current id. With rows ``ahead`` (see
         ``observe_batch``) the first row's screen also takes the first
         rows of up to ``SCREEN_AHEAD - 1`` later batches, and keeps them
         for their decisions (see the module docstring).
         """
-        if self._bound is not None and self._screen_settles(
-                np.asarray(rows[0], dtype=float), ahead):
+        if self._bound is None:
+            raise RuntimeError("detector not initialized")
+        if self._screen_settles(np.asarray(rows[0], dtype=float), ahead):
             return None
+        rows = self.check_rows(rows)
         current, index = self.registry.current, self.instances_seen - 1
         ids = classify_batch(self.discriminator, standardize(rows))
         first = ids[0]
@@ -623,7 +636,7 @@ class DriftGanDetector:
         rows, labels = zip(*(exemplars[i] for i in idx))
         return list(rows), list(labels)
 
-    def _check_rows(self, X) -> np.ndarray:
+    def check_rows(self, X) -> np.ndarray:
         """``X`` as a float64 block, or a ValueError: its rows must be
         finite and as wide as the registry's windows, and the first
         window's at least 2 features wide, since ``standardize`` maps
@@ -660,10 +673,10 @@ class DriftGanDetector:
         current distribution: grow the discriminator (if any) by one
         output, train on every window, and build the trained
         discriminator's bound for ``detect``. A shorter window
-        (``check_window``), or one that ``_check_rows`` refuses, is a
+        (``check_window``), or one that ``check_rows`` refuses, is a
         ValueError before anything is stored or trained."""
         check_window(window, self.config.rho)
-        dist_id = self.registry.add(standardize(self._check_rows(window)))
+        dist_id = self.registry.add(standardize(self.check_rows(window)))
         if self.discriminator is not None:
             extend_output_layer(self.discriminator, self.rng)
         self.generator, self.discriminator = train_gan(

@@ -12,6 +12,12 @@ training set, rows with their labels, and the loop rebuilds the tree
 from it through ``fit_many(X, y)`` before the next row is predicted. A
 strategy is thus its boundary and its rebuild set. ``Strategy`` itself,
 with no boundary, is ``regular_update``.
+
+A call is checked whole before any row is learned or predicted, so a
+refused ``initialize`` or ``steps`` call changes nothing: the tree's
+``check_block`` for every strategy, and the detector's ``check_rows``
+for ``driftgan``, which also initializes its detector before its tree
+learns the window.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .detector import (
     DetectorConfig,
     DriftGanDetector,
     check_count,
-    check_labels,
     check_window,
 )
 from .tree import HoeffdingTreeClassifier
@@ -54,9 +59,10 @@ class Strategy:
 
     def initialize(self, X, y) -> None:
         """Train on the first rho instances, rows ``X`` with labels ``y``
-        (not scored)."""
+        (not scored). A window the tree's ``check_block`` refuses is a
+        ValueError before any row is learned."""
         check_window(X, self.rho)
-        check_labels(X, y)
+        self.classifier.check_block(X, y)
         # not fit_many, whose rows are the ones a rebuild replays
         for x, label in zip(X, y):
             self.classifier.partial_fit(x, label)
@@ -69,11 +75,12 @@ class Strategy:
         """Test-then-train over the next instances, rows ``xs`` with
         labels ``ys``, in stream order: the prediction for each instance,
         made before its label is seen. The one loop of every strategy
-        (see the module docstring)."""
+        (see the module docstring). A call the tree's ``check_block``
+        refuses is a ValueError before any row is predicted."""
         if not self._initialized:
             raise RuntimeError("strategy not initialized")
-        check_labels(xs, ys)
         tree = self.classifier
+        tree.check_block(xs, ys)
         predict = tree.predict
         learn = tree.partial_fit if self.learns else (lambda x, label: None)
         predictions = []
@@ -172,9 +179,19 @@ class DriftGanStrategy(Strategy):
         return self.detector.events
 
     def initialize(self, X, y) -> None:
-        super().initialize(X, y)
+        # the tree learns last, so a window the detector refuses leaves
+        # the strategy as it was
+        self.classifier.check_block(X, y)
         self.detector.initialize(X)
         self.detector.add_exemplars(X, y)
+        super().initialize(X, y)
+
+    def steps(self, xs, ys) -> list[int]:
+        """``Strategy.steps``; rows the detector's ``check_rows`` refuses
+        are a ValueError before any row is predicted."""
+        if len(xs):
+            xs = self.detector.check_rows(xs)
+        return super().steps(xs, ys)
 
     def _rows_to_boundary(self) -> int:
         return self.detector.rows_to_decision

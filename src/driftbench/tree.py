@@ -171,11 +171,27 @@ class HoeffdingTreeClassifier:
             leaf.seen_since_eval = 0
             self._try_split(leaf)
 
+    def check_block(self, X, y) -> None:
+        """A ValueError unless ``partial_fit`` takes every row of ``X``
+        with its label in ``y``: one label per row, rows of
+        ``n_features``, labels in ``0..n_classes-1``. A block is checked
+        whole, before any of its rows is learned, so a refused block
+        changes nothing."""
+        check_labels(X, y)
+        if len(X) and np.shape(X)[1:] != (self.n_features,):
+            raise ValueError(f"expected rows of {self.n_features} features, "
+                             f"got shape {np.shape(X)}")
+        labels = np.asarray(y, dtype=np.int64)
+        outside = (labels < 0) | (labels >= self.n_classes)
+        if outside.any():
+            raise ValueError(f"label {labels[outside][0]} outside "
+                             f"0..{self.n_classes - 1}")
+
     def fit_many(self, X, y) -> None:
         """``partial_fit`` over rows ``X`` with labels ``y``, in order. A
-        label count other than the row count is a ValueError before any
-        row is learned."""
-        check_labels(X, y)
+        block that ``check_block`` refuses is a ValueError before any row
+        is learned."""
+        self.check_block(X, y)
         for x, label in zip(X, y):
             self.partial_fit(x, label)
 

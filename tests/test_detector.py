@@ -164,29 +164,10 @@ def test_historical_sample_ceils_small_fractions():
 # -- batch classification and the consensus rule ------------------------------
 
 
-class StubDiscriminator:
-    """Maps each input row through a fixed function to per-class logits."""
-
-    def __init__(self, id_of_row, n_out):
-        self.id_of_row = id_of_row
-        self.n_out = n_out
-
-    @property
-    def output_size(self):
-        return self.n_out
-
-    def forward(self, batch):
-        out = np.zeros((len(batch), self.n_out))
-        for i, row in enumerate(batch):
-            out[i, self.id_of_row(row)] = 1.0
-        return out
-
-
 def test_classify_batch_ties_resolve_to_lowest_id():
-    stub = StubDiscriminator(lambda row: 0, 3)
-    ties = np.zeros((2, 3))  # all-equal scores
-    stub.forward = lambda batch: np.ones((len(batch), 3))
-    assert classify_batch(stub, ties) == [0, 0]
+    net = Network([3, 3], np.random.default_rng(0), NETWORK_DTYPE)
+    net.layers[0].weights[...] = 0.0  # every logit is its zero bias
+    assert classify_batch(net, np.ones((2, 3))) == [0, 0]
 
 
 @pytest.mark.parametrize("dtype, low, high", [
@@ -204,84 +185,98 @@ def test_classify_batch_takes_the_argmax_of_the_logits(dtype, low, high):
     assert classify_batch(net, batch) == [1, 0]
 
 
-def detector_with_stub(id_of_row, n_registered=2, current=1):
-    config = DetectorConfig()
+def identity_network(width):
+    """A discriminator of one identity layer over ``width`` features and
+    ``width`` ids: its logits are the standardized row, so each row maps
+    to the id of its largest feature."""
+    net = Network([width, width], np.random.default_rng(0), NETWORK_DTYPE)
+    net.layers[0].weights[...] = np.eye(width)
+    net.layers[0].bias[...] = 0.0
+    return net
+
+
+def rows_on(ids, width=3, seed=0):
+    """Raw rows that ``identity_network(width)`` maps to ``ids``: noise,
+    plus 10 at each row's id, which stays its largest feature."""
+    noise = np.random.default_rng(seed).normal(size=(len(ids), width))
+    return noise + 10.0 * np.eye(width)[ids]
+
+
+def detector_with_network(net, current, config=None):
+    """A detector over ``net`` with its bound built, one registered
+    distribution per known id, as at the end of the first batch after
+    the initial window, so a batch given to ``detect`` ends at instance
+    ``rho + batch_size - 1``; registrations are recorded, not trained."""
+    config = config or DetectorConfig()
     det = DriftGanDetector(config)
-    for seed in range(n_registered):
-        det.registry.add(window(seed, n=config.rho))
+    for seed in range(net.output_size - 1):
+        det.registry.add(window(seed, n=config.rho, d=net.input_size))
     det.registry.current = current
-    det.discriminator = StubDiscriminator(id_of_row, 1 + n_registered)
-    # as at the end of the first batch after the initial window, so a
-    # batch given to ``detect`` ends at instance 199
+    det.discriminator, det._bound = net, LogitBound(net)
     det.instances_seen = config.rho + config.batch_size
+    det.registered = []
+    det.register_distribution = lambda w: det.registered.append(len(w)) or (
+        len(det.registry) + 1)
     return det
 
 
 def test_detect_unanimous_current_is_not_drift():
-    det = detector_with_stub(lambda row: 1, current=1)
-    assert det.detect([np.zeros(4)] * 100) is None
+    det = detector_with_network(identity_network(3), current=1)
+    assert det.detect(rows_on([1] * 100)) is None
     assert det.events == []
 
 
 def test_detect_split_batch_is_not_drift():
-    calls = iter(range(10**6))
-    det = detector_with_stub(lambda row: next(calls) % 2, current=1)
-    assert det.detect([np.zeros(4)] * 100) is None
-    assert det.registry.current == 1
+    det = detector_with_network(identity_network(3), current=1)
+    assert det.detect(rows_on([0, 1] * 50)) is None
+    assert det.events == [] and det.registry.current == 1
 
 
 def test_detect_unanimous_known_id_is_recurring():
-    det = detector_with_stub(lambda row: 2, current=1)
-    decision = det.detect([np.zeros(4)] * 100)
+    det = detector_with_network(identity_network(3), current=1)
+    decision = det.detect(rows_on([2] * 100))
     assert decision.kind == "recurring" and decision.dist_id == 2
     assert det.registry.current == 2
     assert [(e.kind, e.dist_id) for e in det.events] == [("recurring", 2)]
 
 
-def test_detect_unanimous_unseen_registers_new(monkeypatch):
-    det = detector_with_stub(lambda row: 0, current=1)
-    registered = []
-    monkeypatch.setattr(det, "register_distribution",
-                        lambda w: registered.append(list(w)) or 3)
-    decision = det.detect([np.zeros(4)] * 100)
+def test_detect_unanimous_unseen_registers_new():
+    det = detector_with_network(identity_network(3), current=1)
+    decision = det.detect(rows_on([0] * 100))
     assert decision.kind == "new" and decision.dist_id == 3
     assert decision.instance_index == 199
-    assert len(registered) == 1 and len(registered[0]) == 100
+    assert det.registered == [100]
     assert [(e.kind, e.dist_id) for e in det.events] == [("new", 3)]
 
 
-def test_detect_small_batch_buffers_until_rho(monkeypatch):
-    config = DetectorConfig(rho=10, batch_size=5, seq_len=3)
-    det = DriftGanDetector(config)
-    det.registry.add(window(0, n=10))
-    det.registry.current = 1
-    det.discriminator = StubDiscriminator(lambda row: 0, 2)
+def small_batch_detector(monkeypatch, batch_size):
+    """A detector over two features with one registered distribution,
+    just initialized, whose every row of ``rows_on([0] * n, width=2)``
+    maps to unseen; registrations record their raw windows."""
+    config = DetectorConfig(rho=10, batch_size=batch_size, seq_len=3)
+    det = detector_with_network(identity_network(2), 1, config)
     det.instances_seen = 10
     registered = []
     monkeypatch.setattr(det, "register_distribution",
-                        lambda w: registered.append(list(w)) or 2)
-    rng = np.random.default_rng(1)
-    raw = rng.normal(size=(10, 4))
+                        lambda w: registered.append(np.array(w)) or 2)
+    return det, registered
+
+
+def test_detect_small_batch_buffers_until_rho(monkeypatch):
+    det, registered = small_batch_detector(monkeypatch, batch_size=5)
+    raw = rows_on([0] * 10, width=2, seed=1)
     events = [det.observe(x, 0) for x in raw[:5]]
     assert events[:4] == [None] * 4 and events[-1].kind == "new"
     assert registered == []  # five vectors are not enough for a window yet
     assert [det.observe(x, 0) for x in raw[5:]] == [None] * 5
     # the window is registered as the raw rows, in stream order
-    assert len(registered) == 1
-    assert np.array(registered[0]).tobytes() == raw.tobytes()
+    [rows] = registered
+    assert rows.tobytes() == raw.tobytes()
 
 
 def test_detect_large_batch_registers_its_last_rho_rows(monkeypatch):
-    config = DetectorConfig(rho=10, batch_size=12, seq_len=3)
-    det = DriftGanDetector(config)
-    det.registry.add(window(0, n=10))
-    det.registry.current = 1
-    det.discriminator = StubDiscriminator(lambda row: 0, 2)
-    det.instances_seen = 10
-    registered = []
-    monkeypatch.setattr(det, "register_distribution",
-                        lambda w: registered.append(np.array(w)) or 2)
-    raw = np.random.default_rng(2).normal(size=(12, 4))
+    det, registered = small_batch_detector(monkeypatch, batch_size=12)
+    raw = rows_on([0] * 12, width=2, seed=2)
     assert [det.observe(x, 0) for x in raw[:11]] == [None] * 11
     assert registered == []
     event = det.observe(raw[11], 0)
@@ -298,9 +293,9 @@ def labeled(instances):
 
 
 def test_last_batch_holds_the_decided_batch_in_stream_order():
-    det = detector_with_stub(lambda row: 1, current=1)
+    det = detector_with_network(identity_network(3), current=1)
     det.config.batch_size = 5
-    raw = np.random.default_rng(3).normal(size=(12, 4))
+    raw = rows_on([1] * 12, seed=3)
     labels = [i % 3 for i in range(len(raw))]
     for x, y in zip(raw[:4], labels):
         det.observe(x, y)
@@ -315,19 +310,14 @@ def test_last_batch_holds_the_decided_batch_in_stream_order():
 
 def test_pending_registration_files_each_instance_under_the_old_id(
         monkeypatch):
-    config = DetectorConfig(rho=10, batch_size=5, seq_len=3)
-    det = DriftGanDetector(config)
-    det.registry.add(window(0, n=10))
-    det.registry.current = 1
-    det.discriminator = StubDiscriminator(lambda row: 0, 2)
-    det.instances_seen = 10
+    det, _ = small_batch_detector(monkeypatch, batch_size=5)
 
     def register(window_std):  # a registration without the GAN
         det.registry.current = det.registry.add(window_std)
         return det.registry.current
 
     monkeypatch.setattr(det, "register_distribution", register)
-    raw = np.random.default_rng(4).normal(size=(11, 4))
+    raw = rows_on([0] * 11, width=2, seed=4)
     stream = [(x, i % 2) for i, x in enumerate(raw)]
     for x, y in stream:
         det.observe(x, y)
@@ -336,16 +326,6 @@ def test_pending_registration_files_each_instance_under_the_old_id(
     # are filed before the registration makes the new id current
     assert labeled(old.exemplars) == labeled(stream[:10])
     assert labeled(new.exemplars) == labeled(stream[10:])
-
-
-def one_hot_rows(ids):
-    """One row per id, the one-hot vector of the id over three features:
-    it standardizes to a vector whose argmax is still the id."""
-    return np.eye(3)[ids]
-
-
-def one_hot_id(row):
-    return int(np.argmax(row))
 
 
 def full_batch_decision(ids, current):
@@ -376,23 +356,26 @@ def id_batches(draw):
 @example([0] * 100, 2)
 @example([1] * 120, 2)
 def test_detect_decides_as_the_full_batch_rule(ids, current):
-    det = detector_with_stub(one_hot_id, current=current)
-    registered = []
-    det.register_distribution = lambda w: registered.append(len(w)) or 3
-    batch = one_hot_rows(ids)
+    net = identity_network(3)
+    det = detector_with_network(net, current)
+    forwards = forwarded_rows(net)
+    batch = rows_on(ids)
     event = det.detect(batch)
+    # the screen forwards the first row; a batch it leaves open, one whose
+    # first row is on another id, is classified whole
+    assert forwards == ([1] if ids[0] == current else [1, len(ids)])
     expected = full_batch_decision(ids, current)
     if expected is None:
         assert event is None and det.events == []
         assert det.registry.current == current
-        assert registered == [] and det._pending_window is None
+        assert det.registered == [] and det._pending_window is None
     elif expected == 0:
         assert (event.kind, event.dist_id) == ("new", 3)
         assert det.registry.current == current  # until the window is trained
         if len(ids) >= det.config.rho:
-            assert registered == [det.config.rho]
+            assert det.registered == [det.config.rho]
         else:
-            assert registered == []
+            assert det.registered == []
             assert np.array_equal(det._pending_window, batch)
     else:
         assert (event.kind, event.dist_id) == ("recurring", expected)
@@ -404,10 +387,10 @@ def test_detect_decides_as_the_full_batch_rule(ids, current):
 def test_detect_needs_the_rows_after_the_head():
     ids = [0] * 100
     ids[50] = 2  # the batch agrees on the unseen id but for row 50
-    det = detector_with_stub(one_hot_id, current=1)
-    det.register_distribution = lambda w: pytest.fail("registered a window")
-    assert det.detect(one_hot_rows(ids)) is None
+    det = detector_with_network(identity_network(3), current=1)
+    assert det.detect(rows_on(ids)) is None
     assert det.events == [] and det._pending_window is None
+    assert det.registered == []
     assert len(det.registry) == 2 and det.registry.current == 1
 
 
@@ -498,18 +481,6 @@ def test_logit_bound_certifies_only_the_batch_forwards_class(
     # proof's tightest form is what it falls below
     radii = np.stack([bound.radii(row) for row in batch])
     assert np.all(radii >= exact_radii(net, batch))
-
-
-def detector_with_network(net, current):
-    """A detector over ``net`` with its bound built, one registered
-    distribution per known id; registrations are recorded, not trained."""
-    det = detector_with_stub(lambda row: 0, net.output_size - 1, current)
-    det.discriminator = net
-    det._bound = LogitBound(net)
-    det.registered = []
-    det.register_distribution = lambda w: det.registered.append(len(w)) or (
-        len(det.registry) + 1)
-    return det
 
 
 @settings(max_examples=30, deadline=None)
@@ -732,6 +703,9 @@ def test_observe_requires_initialization():
     det = DriftGanDetector(DetectorConfig())
     with pytest.raises(RuntimeError):
         det.observe(np.zeros(4), 0)
+    # detect always decides through the bound the first registration builds
+    with pytest.raises(RuntimeError, match="detector not initialized"):
+        det.detect(np.zeros((5, 4)))
 
 
 def test_config_validation():
@@ -1073,6 +1047,34 @@ def test_add_exemplars_refuses_rows_before_filing_them(monkeypatch, rows,
     with pytest.raises(ValueError, match=message):
         det.add_exemplars(rows, labels)
     assert detector_state(det) == before
+
+
+def decision_state(det):
+    """What a refused batch must leave as it was: no event, no pending
+    window, no registration, the same current id."""
+    return (list(det.events), det._pending_window, len(det.registry),
+            det.registry.current)
+
+
+def test_detect_refuses_rows_it_cannot_read_before_any_change(monkeypatch):
+    # a row that is not finite is never certified, so the screen leaves
+    # the batch open and the check refuses it
+    det = small_trained(monkeypatch)
+    before = decision_state(det)
+    with pytest.raises(ValueError, match="finite"):
+        det.detect(np.full((5, 4), np.nan))
+    assert decision_state(det) == before
+
+
+def test_detect_checks_every_row_of_a_batch_the_screen_leaves_open():
+    # every row but the last maps to the known id 2, not the current one
+    det = detector_with_network(identity_network(3), current=1)
+    batch = rows_on([2] * 5)
+    batch[-1] = np.nan
+    before = decision_state(det)
+    with pytest.raises(ValueError, match="finite"):
+        det.detect(batch)
+    assert decision_state(det) == before and det.registered == []
 
 
 def test_register_distribution_refuses_a_narrow_window_before_storing_it(

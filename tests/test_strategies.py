@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_detector import StubDiscriminator
 
 import driftbench.detector as detector_module
 import driftbench.tree as tree_module
-from driftbench.detector import DetectorConfig, DriftGanDetector
+from driftbench.detector import NETWORK_DTYPE, DetectorConfig, DriftGanDetector
 from driftbench.evaluation import prequential_run
+from driftbench.nn import Network
 from driftbench.strategies import STRATEGY_KINDS, make_strategy
 from driftbench.streams import (
     LabeledInstance,
@@ -62,6 +62,87 @@ def test_initialize_and_steps_need_one_label_per_row(kind):
         strategy.initialize(X[:5], y[:5])
         with pytest.raises(ValueError, match="1 rows and 2 labels"):
             strategy.steps(X[5:], y[4:])
+
+
+def leaf_counts(tree):
+    """Each leaf's class counts, depth first: what the tree has learned."""
+    counts, stack = [], [tree._root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf():
+            counts.append(list(node.stats.class_counts))
+        else:
+            stack += [node.right, node.left]
+    return counts
+
+
+def strategy_state(strategy):
+    """What a refused call must leave as it was: whether the strategy is
+    initialized, its tree and, for driftgan, the detector's count of
+    instances and its registry and exemplar store."""
+    state = [strategy._initialized, leaf_counts(strategy.classifier)]
+    if strategy.kind == "driftgan":
+        detector = strategy.detector
+        state += [detector.instances_seen, len(detector.registry),
+                  [(x.tobytes(), y) for record in detector.registry.records
+                   for x, y in record.exemplars]]
+    return state
+
+
+def nan_row(rows, i):
+    rows = np.array(rows, dtype=float)
+    rows[i] = np.nan
+    return rows
+
+
+REFUSED_WINDOWS = [  # (kind, n_features, rows, labels, message)
+    *(pytest.param(kind, 2, np.ones((6, 2)), [0] * 5, "6 rows and 5 labels",
+                   id=f"{kind}-labels") for kind in STRATEGY_KINDS),
+    *(pytest.param(kind, 2, np.ones((6, 2)), [0, 0, 0, 2, 0, 0],
+                   "label 2 outside 0..1", id=f"{kind}-class")
+      for kind in STRATEGY_KINDS),
+    # windows only the detector refuses
+    pytest.param("driftgan", 1, np.arange(6.0)[:, None], [0] * 6,
+                 "at least 2 features", id="driftgan-one-feature"),
+    pytest.param("driftgan", 2, nan_row(np.arange(12.0).reshape(6, 2), 3),
+                 [0] * 6, "finite", id="driftgan-nan"),
+]
+
+
+@pytest.mark.parametrize("kind, n_features, rows, labels, message",
+                         REFUSED_WINDOWS)
+def test_refused_initialize_changes_nothing(monkeypatch, kind, n_features,
+                                            rows, labels, message):
+    monkeypatch.setattr(detector_module, "train_gan",
+                        lambda *args: pytest.fail("trained a GAN"))
+    strategy = make_strategy(kind, n_features=n_features, n_classes=2, rho=6)
+    before = strategy_state(strategy)
+    assert before[:2] == [False, [[0.0, 0.0]]]  # the tree one empty leaf
+    with pytest.raises(ValueError, match=message):
+        strategy.initialize(rows, labels)
+    assert strategy_state(strategy) == before
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_refused_steps_call_changes_nothing(monkeypatch, kind):
+    signed_training(monkeypatch)
+    strategy = make_strategy(kind, n_features=2, n_classes=2,
+                             config=DetectorConfig(rho=6, batch_size=4,
+                                                   seq_len=3))
+    xs, ys = columns([signed(1.0 + i, i % 2) for i in range(16)])
+    strategy.initialize(xs[:6], ys[:6])
+    xs, ys = xs[6:], ys[6:]
+    before = strategy_state(strategy)
+    # the bad label is in the second batch, past a decision
+    with pytest.raises(ValueError, match="label 2 outside 0..1"):
+        strategy.steps(xs, ys[:5] + [2] + ys[6:])
+    assert strategy_state(strategy) == before
+    if kind == "driftgan":
+        with pytest.raises(ValueError, match="finite"):
+            strategy.steps(nan_row(xs, 5), ys)
+        assert strategy_state(strategy) == before
+    else:  # a baseline's tree holds NaN rows by design
+        assert len(strategy.steps(nan_row(xs, 5), ys)) == len(xs)
 
 
 def test_initial_learn_never_updates():
@@ -155,25 +236,26 @@ def signed(value, label):
     return LabeledInstance(np.array([value, 0.0]), label)
 
 
-def stub_training(monkeypatch):
-    """Registration without the GAN: each training returns a stub
-    discriminator that maps positive rows to id 1 and negative rows to id 2
-    once a second distribution is registered, to unseen (0) before."""
+def signed_training(monkeypatch):
+    """Registration without the GAN: each training returns a one-layer
+    discriminator whose logit is ``x0`` for id 1 and ``-x0`` for id 2
+    once a second distribution is registered, for unseen (0) before, so
+    a positive ``signed`` row maps to id 1 and a negative one to id 2,
+    or to 0."""
     def train(registry, config, rng, generator=None, discriminator=None):
-        negative = 2 if len(registry) > 1 else 0
-        return generator, StubDiscriminator(
-            lambda row: 1 if row[0] > 0 else negative, 1 + len(registry))
+        net = Network([2, 1 + len(registry)], rng, NETWORK_DTYPE)
+        net.layers[0].weights[...] = 0.0
+        net.layers[0].bias[...] = 0.0
+        net.layers[0].weights[0, 1] = 1.0
+        net.layers[0].weights[0, 2 if len(registry) > 1 else 0] = -1.0
+        return generator, net
 
     monkeypatch.setattr(detector_module, "train_gan", train)
-    monkeypatch.setattr(detector_module, "extend_output_layer",
-                        lambda network, rng: None)
-    # a stub is no float32 network to bound, so no batch is screened
-    monkeypatch.setattr(detector_module, "LogitBound", lambda network: None)
 
 
 def assert_refits_on_history_then_triggering_batch(monkeypatch, rho,
                                                    batch_size):
-    stub_training(monkeypatch)
+    signed_training(monkeypatch)
     config = DetectorConfig(rho=rho, batch_size=batch_size, seq_len=3)
     strategy = make_strategy("driftgan", n_features=2, n_classes=2, rho=rho,
                              config=config)
@@ -232,9 +314,9 @@ def test_driftgan_retrains_alike_when_one_batch_fills_a_window(monkeypatch):
 
 
 @st.composite
-def stub_streams(draw):
+def signed_streams(draw):
     """Settings and a short labeled stream of signed segments (see
-    ``stub_training``), and the cut points of the calls that feed it."""
+    ``signed_training``), and the cut points of the calls that feed it."""
     rho = draw(st.integers(min_value=4, max_value=12))
     batch_size = draw(st.integers(min_value=1, max_value=15))
     signs = [1.0] * rho
@@ -252,13 +334,13 @@ def stub_streams(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(stub_streams())
+@given(signed_streams())
 def test_block_path_matches_per_instance_steps(case):
     rho, batch_size, stream, cuts = case
     runs = []
     for blocks in (True, False):
         with pytest.MonkeyPatch.context() as patch:
-            stub_training(patch)
+            signed_training(patch)
             strategy = make_strategy(
                 "driftgan", n_features=2, n_classes=2, rho=rho,
                 config=DetectorConfig(rho=rho, batch_size=batch_size,

@@ -99,24 +99,43 @@ def round_digests(workload, seed) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workloads", default="recurring,novel,stationary",
-                        help="comma-separated workload names "
-                             "(default: all three)")
-    parser.add_argument("--seeds", default="0,1,2",
-                        help="comma-separated stream seeds (default: 0,1,2)")
-    args = parser.parse_args(argv)
-    names = args.workloads.split(",")
+def workload_list(text) -> list[str]:
+    """``--workloads``: comma-separated names of ``WORKLOADS``."""
+    names = text.split(",")
     unknown = [name for name in names if name not in WORKLOADS]
     if unknown:
-        parser.error(f"unknown workloads {unknown}; choose from "
-                     f"{sorted(WORKLOADS)}")
-    seeds = [int(seed) for seed in args.seeds.split(",")]
+        raise argparse.ArgumentTypeError(
+            f"unknown workloads {unknown} in {text!r}; choose from "
+            f"{sorted(WORKLOADS)}")
+    return names
+
+
+def seed_list(text) -> list[int]:
+    """``--seeds``: comma-separated stream seeds, integers of at least 0."""
+    try:
+        seeds = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(
+            f"seeds must be >= 0, got {text!r}")
+    return seeds
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workloads", type=workload_list,
+                        default="recurring,novel,stationary",
+                        help="comma-separated workload names "
+                             "(default: all three)")
+    parser.add_argument("--seeds", type=seed_list, default="0,1,2",
+                        help="comma-separated stream seeds (default: 0,1,2)")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         run.OUT_DIR = Path(tmp)  # where write_stream puts the CSV streams
-        for name in names:
-            for seed in seeds:
+        for name in args.workloads:
+            for seed in args.seeds:
                 digests = round_digests(WORKLOADS[name], seed)
                 print(f"{name} seed {seed}: " + " ".join(
                     f"{key}={value}" for key, value in digests.items()))
