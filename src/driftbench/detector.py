@@ -569,22 +569,29 @@ class DriftGanDetector:
         """Batch-consensus drift rule on a batch of raw rows that ends at
         the last instance seen.
 
-        The detector must be initialized (a RuntimeError otherwise). A
-        drift needs every row of the batch on one id other than the
-        current one. A first row that the discriminator's bound certifies
-        on the current id settles "no drift": the whole batch's forward
-        puts it there too, the batch is never standardized, and nothing
-        changes. Any other batch is checked with ``check_rows``, a
-        ValueError before any event, registration or change of the
-        current id, then standardized and classified whole, and its rows
-        must all map to one non-current id. With rows ``ahead`` (see
+        The detector must be initialized (a RuntimeError otherwise). An
+        empty batch, or a first row that is not as wide as the registry's
+        windows, is a ValueError before the screen. A drift needs every
+        row of the batch on one id other than the current one. A first
+        row that the discriminator's bound certifies on the current id
+        settles "no drift": the whole batch's forward puts it there too,
+        the batch is never standardized, and nothing changes. Any other
+        batch is checked with ``check_rows``, a ValueError before any
+        event, registration or change of the current id, then
+        standardized and classified whole, and its rows must all map to
+        one non-current id. With rows ``ahead`` (see
         ``observe_batch``) the first row's screen also takes the first
         rows of up to ``SCREEN_AHEAD - 1`` later batches, and keeps them
         for their decisions (see the module docstring).
         """
         if self._bound is None:
             raise RuntimeError("detector not initialized")
-        if self._screen_settles(np.asarray(rows[0], dtype=float), ahead):
+        if not len(rows):
+            raise ValueError("expected a batch of rows, got an empty batch")
+        row = np.asarray(rows[0], dtype=float)
+        if row.shape != self.registry.records[0].window.shape[1:]:
+            self.check_rows(rows[:1])  # refuses the first row in its words
+        if self._screen_settles(row, ahead):
             return None
         rows = self.check_rows(rows)
         current, index = self.registry.current, self.instances_seen - 1

@@ -1066,6 +1066,28 @@ def test_detect_refuses_rows_it_cannot_read_before_any_change(monkeypatch):
     assert decision_state(det) == before
 
 
+@pytest.mark.parametrize("with_ahead", [False, True], ids=["alone", "ahead"])
+@pytest.mark.parametrize("rows, message", [
+    (np.zeros((0, 3)), "got an empty batch"),
+    (np.ones((5, 2)), "expected rows of 3 features, got 2"),
+], ids=["empty", "narrow"])
+def test_detect_refuses_an_empty_batch_or_a_narrow_first_row_before_the_screen(
+        rows, message, with_ahead):
+    det = detector_with_network(identity_network(3), current=1)
+    # a settled batch keeps the screens of the rows it read ahead
+    assert det.detect(rows_on([1] * 5), rows_on([1] * 20, seed=1)) is None
+
+    def state():
+        return (decision_state(det), list(det._screens),
+                [record.window.tobytes() for record in det.registry.records])
+
+    screens, before = det._screens, state()
+    ahead = rows_on([1] * 20, seed=2) if with_ahead else ()
+    with pytest.raises(ValueError, match=message):
+        det.detect(rows, ahead)
+    assert det._screens is screens and state() == before
+
+
 def test_detect_checks_every_row_of_a_batch_the_screen_leaves_open():
     # every row but the last maps to the known id 2, not the current one
     det = detector_with_network(identity_network(3), current=1)

@@ -3,7 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from driftbench.tree import HoeffdingTreeClassifier
 
 ROUND_DIGESTS = Path(__file__).resolve().parent.parent / "tools" / "round_digests.py"
 
@@ -32,3 +35,16 @@ def test_round_digests_refuses_a_malformed_list_before_any_round(
         tool.main(argv)
     assert exit_.value.code == 2  # a usage error
     assert value in capsys.readouterr().err
+
+
+def test_tree_digest_shows_a_threshold_moved_by_one_ulp():
+    tool = load_round_digests()
+    xs = np.linspace(-1.0, 1.0, 400)[:, None]
+    tree = HoeffdingTreeClassifier(n_features=1, n_classes=2)
+    tree.fit_many(xs, (xs[:, 0] > 0).astype(int))
+    assert tree.n_nodes() > 1
+    digest = tool.tree_digest(tree)
+    assert tool.tree_digest(tree) == digest
+    root = tree._root
+    root.split_threshold = float(np.nextafter(root.split_threshold, np.inf))
+    assert tool.tree_digest(tree) != digest

@@ -1,6 +1,7 @@
 """Unit tests for the incremental Hoeffding tree."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,8 +174,64 @@ class ReferenceLeafStats:
         return math.sqrt(self.m2[feature, label] / n)
 
 
+def reference_entropy(counts):
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
 class ReferenceTree(HoeffdingTreeClassifier):
-    """A tree whose split search reads the reference leaf layout."""
+    """A tree whose split search reads the reference leaf layout, one
+    candidate threshold at a time: each takes its own left counts and
+    entropies. It skips a feature whose range is not finite, as the
+    tree does."""
+
+    def _try_split(self, leaf):
+        counts = np.array(leaf.stats.class_counts)
+        merits = self._merits(leaf.stats)
+        if not merits:
+            return
+        merits.sort(key=lambda m: (-m[0], m[1]))
+        best_gain = merits[0][0]
+        second_gain = merits[1][0] if len(merits) > 1 else 0.0
+        if best_gain <= 0.0:
+            return
+        value_range = math.log2(self.n_classes) if self.n_classes > 1 else 1.0
+        bound = hoeffding_bound(value_range, tree_module.SPLIT_CONFIDENCE,
+                                int(counts.sum()))
+        if best_gain - second_gain > bound or bound < tree_module.TIE_THRESHOLD:
+            self._split(leaf, merits[0][1], merits[0][2])
+
+    def _merits(self, stats):
+        counts = np.array(stats.class_counts)
+        if np.count_nonzero(counts) < 2:
+            return []
+        merits = []  # (gain, feature, threshold), best per feature
+        parent_entropy = reference_entropy(counts)
+        total = counts.sum()
+        for f in range(self.n_features):
+            best = None
+            lo, hi = stats.feat_min[f], stats.feat_max[f]
+            if not (lo < hi and math.isfinite(hi - lo)):
+                continue
+            step = (hi - lo) / (tree_module.N_SPLIT_POINTS + 1)
+            for i in range(1, tree_module.N_SPLIT_POINTS + 1):
+                t = lo + i * step
+                left = self._left_counts(stats, f, t)
+                right = counts - left
+                nl, nr = left.sum(), right.sum()
+                if nl <= 0 or nr <= 0:
+                    continue
+                gain = parent_entropy - (
+                    nl * reference_entropy(left) + nr * reference_entropy(right)
+                ) / total
+                if best is None or gain > best[0]:
+                    best = (gain, f, t)
+            if best is not None:
+                merits.append(best)
+        return merits
 
     def _left_counts(self, stats, feature, t):
         left = np.zeros(self.n_classes)
@@ -293,3 +350,107 @@ def test_tree_on_either_leaf_layout_grows_the_same_tree(monkeypatch):
     reference = ReferenceTree(n_features=4, n_classes=3)
     assert preds == prequential(reference)
     assert tree.n_nodes() == reference.n_nodes() > 1
+
+
+# -- the split search against the per-candidate reference ---------------------
+
+
+def split_search(tree, stats, rows):
+    """``tree``'s split search on one leaf that has learned ``rows`` into
+    ``stats``: each feature's best candidate, its gain and threshold as
+    bytes, and the decision, None or the split's feature and its
+    threshold's bytes."""
+    leaf = tree_module._Node(tree.n_features, tree.n_classes)
+    leaf.stats = stats
+    for features, y in rows:
+        stats.update(np.array(features), y)
+    merits = [(np.float64(gain).tobytes(), f, np.float64(t).tobytes())
+              for gain, f, t in tree._merits(stats)]
+    tree._try_split(leaf)
+    if leaf.is_leaf():
+        return merits, None
+    return merits, (leaf.split_feature,
+                    np.float64(leaf.split_threshold).tobytes())
+
+
+# repeated values, +-0.0 and the non-finite values a feature is skipped for
+SPLIT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf]),
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def split_leaves(draw):
+    """Rows of up to 12 classes, some of them (class 0 too) empty; each
+    present class repeats rows of its own small pool, so one-row and
+    zero-sigma classes are common; and whether every positive best gain
+    splits, so that the decision shows which candidate won."""
+    n_features = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(1, 12))
+    present = draw(st.lists(st.integers(0, n_classes - 1), min_size=1,
+                            unique=True))
+    row = st.lists(SPLIT_VALUES, min_size=n_features, max_size=n_features)
+    rows = []
+    for c in present:
+        pool = draw(st.lists(row, min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                              max_size=30))
+        rows += [(pool[i], c) for i in picks]
+    rows = draw(st.permutations(rows))
+    return n_features, n_classes, rows, draw(st.booleans())
+
+
+def nine_classes_without_class_0():
+    """A leaf of split_leaves' form: 60 rows of classes 1-8 of 9, each
+    about its own mean, so both sides of most candidates hold 8 nonempty
+    classes, whose terms numpy's pairwise sum groups by position."""
+    rng = np.random.default_rng(0)
+    ys = rng.integers(1, 9, size=60)
+    xs = rng.normal(0.2 * ys[:, None], 1.0, size=(60, 2)).round(3)
+    return 2, 9, [(x.tolist(), int(y)) for x, y in zip(xs, ys)], True
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_leaves())
+@example(nine_classes_without_class_0())
+def test_split_search_gains_and_decision_equal_the_per_candidate_reference(leaf):
+    n_features, n_classes, rows, split_any_gain = leaf
+    tie = 2.0 if split_any_gain else tree_module.TIE_THRESHOLD
+    with mock.patch.object(tree_module, "TIE_THRESHOLD", tie), \
+            np.errstate(invalid="ignore", over="ignore"):
+        search = split_search(
+            HoeffdingTreeClassifier(n_features, n_classes),
+            _LeafStats(n_features, n_classes), rows)
+        reference = split_search(
+            ReferenceTree(n_features, n_classes),
+            ReferenceLeafStats(n_features, n_classes), rows)
+    assert search == reference
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 8, 9, 16, 33, 300])
+def test_entropies_keep_the_bits_of_each_rows_compressed_1d_entropy(n_classes):
+    # from 8 nonzero counts on, numpy's pairwise sum groups terms by their
+    # position, so a row's sum keeps its bits only if its zero counts are
+    # left out; np.log2 keeps them at any length, math.log2 does not
+    rng = np.random.default_rng(n_classes)
+    counts = rng.random((1000, n_classes)) * rng.choice([1.0, 1e2, 1e6], (1000, 1))
+    counts[rng.random(counts.shape) < 0.3] = 0.0
+    counts[counts.sum(axis=1) == 0, -1] = 1.0
+    entropies = tree_module._entropies(counts, counts.sum(axis=1))
+    assert entropies.tobytes() == np.array(
+        [reference_entropy(row) for row in counts]).tobytes()
+
+
+@pytest.mark.parametrize("held", [-math.inf, math.inf, math.nan])
+def test_a_held_non_finite_value_skips_only_its_feature(held):
+    # feature 1 separates the classes; feature 0 is noise whose first
+    # value is not finite, so its range is not finite, or is NaN
+    rng = np.random.default_rng(0)
+    ys = rng.integers(0, 2, size=1000)
+    xs = np.column_stack([rng.normal(size=1000), rng.normal(3.0 * ys, 1.0)])
+    xs[0, 0] = held
+    tree = HoeffdingTreeClassifier(n_features=2, n_classes=2)
+    tree.fit_many(xs, ys)
+    assert tree._root.split_feature == 1

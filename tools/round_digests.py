@@ -13,6 +13,8 @@ digests, each cut to its first 16 hex digits:
 - ``params``: the generator's and the discriminator's ``params``;
 - ``registry``: every stored window and every labeled exemplar;
 - ``epochs``: the GAN epochs of each training;
+- ``tree``: the strategy's final tree (``tree_digest``), which shows a
+  split threshold that moved by one ulp though every prediction stays;
 
 and ``screen=<settled>/<screened>``: of the batches ``detect`` screened
 with the discriminator's bound, how many the bound settled as no drift.
@@ -40,6 +42,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import run  # noqa: E402  (bench/run.py; imports this checkout's library)
@@ -55,6 +59,21 @@ def _digest(*parts) -> str:
     for part in parts:
         h.update(part if isinstance(part, bytes) else repr(part).encode())
     return h.hexdigest()[:16]
+
+
+def tree_digest(tree) -> str:
+    """Digest of ``tree`` in preorder: each split's feature and the bytes
+    of its threshold, and each leaf's class counts."""
+    parts, stack = [], [tree._root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf():
+            parts.append(np.array(node.stats.class_counts).tobytes())
+        else:
+            parts.append((node.split_feature,
+                          np.float64(node.split_threshold).tobytes()))
+            stack.extend((node.right, node.left))
+    return _digest(*parts)
 
 
 def round_digests(workload, seed) -> dict:
@@ -94,6 +113,7 @@ def round_digests(workload, seed) -> dict:
                           detector.discriminator.params.tobytes()),
         "registry": _digest(*registry),
         "epochs": _digest(result["gan_epochs"]),
+        "tree": tree_digest(result["strategy"].classifier),
         "screen": f"{sum(answers)}/{len(answers)}",
         "forwards": len(forwards),
     }
